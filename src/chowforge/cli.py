@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from . import catalog
 from .catalog import ParamError, Params
@@ -41,21 +42,34 @@ def _presentation_json(P: Presentation) -> dict:
     }
 
 
+# The tables name catalog functions instead of binding them, so that each
+# call looks the function up on the module; a wrapper installed there after
+# import (the span tracer in perfbench/) then sees every call.
+
+# theorem -> (catalog constructor, the flags it takes)
+_THEOREMS = {
+    "thm1.2": ("thm_1_2_presentation", ("a", "b")),
+    "thm1.3": ("thm_1_3_presentation", ("g", "n")),
+    "thm1.9": ("thm_1_9_presentation", ("g", "n")),
+    "cor1.10": ("cor_1_10_presentation", ("g", "n")),
+}
+
+# pipeline -> (direct presentation, torsor derivation, valid (g, n) pairs)
+_PIPELINES = {
+    "rh-even": ("thm_1_3_presentation", "derive_thm_1_3", "valid_rh_even_pairs"),
+    "wrh-odd": ("thm_1_9_presentation", "derive_thm_1_9", "valid_wrh_odd_pairs"),
+}
+
+
 def _build_presentation(theorem: str, args) -> tuple[Presentation, Params]:
-    if theorem == "thm1.2":
-        if args.a is None or args.b is None:
-            raise ParamError("thm1.2 requires --a and --b")
-        return catalog.thm_1_2_presentation(args.a, args.b), Params(a=args.a, b=args.b)
-    if args.g is None or args.n is None:
-        raise ParamError("%s requires --g and --n" % theorem)
-    params = Params(g=args.g, n=args.n)
-    if theorem == "thm1.3":
-        return catalog.thm_1_3_presentation(args.g, args.n), params
-    if theorem == "thm1.9":
-        return catalog.thm_1_9_presentation(args.g, args.n), params
-    if theorem == "cor1.10":
-        return catalog.cor_1_10_presentation(args.g, args.n), params
-    raise ParamError("unknown theorem %r" % theorem)
+    constructor, flags = _THEOREMS[theorem]
+    values = [getattr(args, f) for f in flags]
+    if None in values:
+        raise ParamError(
+            "%s requires %s" % (theorem, " and ".join("--" + f for f in flags))
+        )
+    params = Params(**dict(zip(flags, values)))
+    return getattr(catalog, constructor)(*values), params
 
 
 def _cmd_present(args) -> int:
@@ -70,10 +84,7 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    if args.pipeline == "rh-even":
-        result = catalog.derive_thm_1_3(args.g, args.n)
-    else:
-        result = catalog.derive_thm_1_9(args.g, args.n)
+    result = getattr(catalog, _PIPELINES[args.pipeline][1])(args.g, args.n)
     if args.emit_steps:
         for i, (label, P) in enumerate(result.steps, start=1):
             print("# step %d: %s" % (i, label))
@@ -93,21 +104,27 @@ def _cmd_graded(args) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; an unreadable or undecodable file is a
+    usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParamError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParamError("%s: %s" % (path, exc)) from None
+
+
 def _cmd_ideal_eq(args) -> int:
     sides = []
     for path in (args.file_a, args.file_b):
+        src = _read_text(path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                src = fh.read()
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        try:
-            ring, relations = parse_ideal_file(src)
+            sides.append(parse_ideal_file(src))
         except ParseError as exc:
             print("error: %s: %s" % (path, exc), file=sys.stderr)
             return 2
-        sides.append((ring, relations))
     (ring_a, rel_a), (ring_b, rel_b) = sides
     if ring_a != ring_b:
         print("error: ring headers differ", file=sys.stderr)
@@ -149,41 +166,25 @@ class CheckReport:
         return head
 
 
-def _check_derive_rh_even(p: Params):
-    got = catalog.derive_thm_1_3(p.g, p.n).presentation
-    want = catalog.thm_1_3_presentation(p.g, p.n)
+def _check_derive(pipeline: str, p: Params):
+    direct, derive, _ = _PIPELINES[pipeline]
+    got = getattr(catalog, derive)(p.g, p.n).presentation
+    want = getattr(catalog, direct)(p.g, p.n)
     res = ideal_equal(got, want)
     return res.equal, None if res.equal else res.describe()
 
 
-def _check_derive_wrh_odd(p: Params):
-    got = catalog.derive_thm_1_9(p.g, p.n).presentation
-    want = catalog.thm_1_9_presentation(p.g, p.n)
-    res = ideal_equal(got, want)
-    return res.equal, None if res.equal else res.describe()
-
-
-def _graded_agree(direct: Presentation, derived: Presentation, deg_max: int = 4):
-    for d in range(deg_max + 1):
-        a = quotient_graded_invariants(direct, d)
-        b = quotient_graded_invariants(derived, d)
+def _check_graded(pipeline: str, p: Params):
+    """The direct and the derived quotient agree in degrees 0..4."""
+    direct, derive, _ = _PIPELINES[pipeline]
+    want = getattr(catalog, direct)(p.g, p.n)
+    got = getattr(catalog, derive)(p.g, p.n).presentation
+    for d in range(5):
+        a = quotient_graded_invariants(want, d)
+        b = quotient_graded_invariants(got, d)
         if a != b:
             return False, "degree %d: %s vs %s" % (d, a, b)
     return True, None
-
-
-def _check_graded_rh_even(p: Params):
-    return _graded_agree(
-        catalog.thm_1_3_presentation(p.g, p.n),
-        catalog.derive_thm_1_3(p.g, p.n).presentation,
-    )
-
-
-def _check_graded_wrh_odd(p: Params):
-    return _graded_agree(
-        catalog.thm_1_9_presentation(p.g, p.n),
-        catalog.derive_thm_1_9(p.g, p.n).presentation,
-    )
 
 
 def _check_lemma34(p: Params):
@@ -248,41 +249,36 @@ def _check_chern_twist(p: Params):
     return True, None
 
 
+# check id -> (suite, grid, check); the grid is a pipeline's (g, n) pairs,
+# "ab" for a, b in 1..ab-max, or None for a single run without parameters
 _CHECKS = {
-    "derive-rh-even": _check_derive_rh_even,
-    "derive-wrh-odd": _check_derive_wrh_odd,
-    "graded-agree-rh-even": _check_graded_rh_even,
-    "graded-agree-wrh-odd": _check_graded_wrh_odd,
-    "lemma34-superfluous": _check_lemma34,
-    "remark37-reduction": _check_remark37_reduction,
-    "remark37-nonredundant": _check_remark37_nonredundant,
-    "coeff-identity-fg": _check_coeff_identity,
-    "thm12-equals-candidate": _check_thm12_candidate,
-    "tau-pullback-square": _check_tau_pullback,
-    "chern-twist-conditional": _check_chern_twist,
+    "derive-rh-even": ("derivations", "rh-even", partial(_check_derive, "rh-even")),
+    "derive-wrh-odd": ("derivations", "wrh-odd", partial(_check_derive, "wrh-odd")),
+    "graded-agree-rh-even": ("derivations", "rh-even", partial(_check_graded, "rh-even")),
+    "graded-agree-wrh-odd": ("derivations", "wrh-odd", partial(_check_graded, "wrh-odd")),
+    "lemma34-superfluous": ("lemma34", "ab", _check_lemma34),
+    "remark37-reduction": ("remark37", "ab", _check_remark37_reduction),
+    "remark37-nonredundant": ("remark37", "ab", _check_remark37_nonredundant),
+    "coeff-identity-fg": ("identities", "ab", _check_coeff_identity),
+    "thm12-equals-candidate": ("identities", "ab", _check_thm12_candidate),
+    "tau-pullback-square": ("identities", None, _check_tau_pullback),
+    "chern-twist-conditional": ("identities", None, _check_chern_twist),
 }
 
 
 def _grid_tasks(suite: str, g_max: int, ab_max: int) -> list[tuple[str, Params]]:
-    tasks: list[tuple[str, Params]] = []
-    even = [Params(g=g, n=n) for g, n in catalog.valid_rh_even_pairs(g_max)]
-    odd = [Params(g=g, n=n) for g, n in catalog.valid_wrh_odd_pairs(g_max)]
-    ab = [Params(a=a, b=b) for a in range(1, ab_max + 1) for b in range(1, ab_max + 1)]
-    if suite in ("all", "derivations"):
-        tasks += [("derive-rh-even", p) for p in even]
-        tasks += [("derive-wrh-odd", p) for p in odd]
-        tasks += [("graded-agree-rh-even", p) for p in even]
-        tasks += [("graded-agree-wrh-odd", p) for p in odd]
-    if suite in ("all", "lemma34"):
-        tasks += [("lemma34-superfluous", p) for p in ab]
-    if suite in ("all", "remark37"):
-        tasks += [("remark37-reduction", p) for p in ab]
-        tasks += [("remark37-nonredundant", p) for p in ab]
-    if suite in ("all", "identities"):
-        tasks += [("coeff-identity-fg", p) for p in ab]
-        tasks += [("thm12-equals-candidate", p) for p in ab]
-        tasks.append(("tau-pullback-square", Params()))
-        tasks.append(("chern-twist-conditional", Params()))
+    grids = {
+        None: [Params()],
+        "ab": [Params(a=a, b=b) for a in range(1, ab_max + 1) for b in range(1, ab_max + 1)],
+    }
+    for name, (_, _, pairs) in _PIPELINES.items():
+        grids[name] = [Params(g=g, n=n) for g, n in getattr(catalog, pairs)(g_max)]
+    tasks = [
+        (check_id, p)
+        for check_id, (check_suite, grid, _) in _CHECKS.items()
+        if suite in ("all", check_suite)
+        for p in grids[grid]
+    ]
     tasks.sort(key=lambda t: (t[0], t[1].sort_key()))
     return tasks
 
@@ -290,7 +286,7 @@ def _grid_tasks(suite: str, g_max: int, ab_max: int) -> list[tuple[str, Params]]
 def _run_task(task: tuple[str, Params]) -> CheckReport:
     check_id, params = task
     try:
-        ok, witness = _CHECKS[check_id](params)
+        ok, witness = _CHECKS[check_id][2](params)
     except Exception as exc:  # a crashed check is a failed check
         ok, witness = False, "error: %s" % exc
     return CheckReport(check_id, params, "pass" if ok else "fail", witness)
@@ -299,9 +295,7 @@ def _run_task(task: tuple[str, Params]) -> CheckReport:
 def _external_reports(path: str) -> list[CheckReport]:
     """Checks for a user-supplied ideal file: serialization round trip and
     properness of the presented ideal (no unit relation)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        src = fh.read()
-    ring, relations = parse_ideal_file(src)  # ParseError -> usage error
+    ring, relations = parse_ideal_file(_read_text(path))  # ParseError -> usage error
     P = Presentation(ring, relations)
     text = format_ideal_file(P.ring, P.relations)
     ring2, rel2 = parse_ideal_file(text)
@@ -332,21 +326,21 @@ def _cmd_verify(args) -> int:
         raise ParamError("--g-max must be >= 2 and --ab-max >= 1")
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("CHOWFORGE_JOBS", "1"))
+        env = os.environ.get("CHOWFORGE_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ParamError("CHOWFORGE_JOBS must be an integer, not %r" % env) from None
     if jobs < 1:
         raise ParamError("--jobs must be >= 1")
     if args.external is not None:
-        try:
-            reports = _external_reports(args.external)
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        return _emit_reports(reports, args.format)
+        return _emit_reports(_external_reports(args.external), args.format)
     tasks = _grid_tasks(args.suite, args.g_max, args.ab_max)
     if jobs == 1 or len(tasks) <= 1:
         reports = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method forks every worker up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             reports = list(pool.map(_run_task, tasks))
     return _emit_reports(reports, args.format)
 
@@ -383,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--theorem",
             required=True,
-            choices=["thm1.2", "thm1.3", "thm1.9", "cor1.10"],
+            choices=list(_THEOREMS),
         )
         p.add_argument("--g", type=int)
         p.add_argument("--n", type=int)
@@ -396,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_present)
 
     p = sub.add_parser("derive", help="run a torsor derivation pipeline")
-    p.add_argument("--pipeline", required=True, choices=["rh-even", "wrh-odd"])
+    p.add_argument("--pipeline", required=True, choices=list(_PIPELINES))
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit-steps", action="store_true")
@@ -406,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["all", "derivations", "lemma34", "remark37", "identities"],
+        choices=["all", *dict.fromkeys(suite for suite, _, _ in _CHECKS.values())],
     )
     p.add_argument("--g-max", type=int, default=20)
     p.add_argument("--ab-max", type=int, default=8)

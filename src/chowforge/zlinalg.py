@@ -214,6 +214,14 @@ def snf(A: IntMatrix) -> SNFResult:
 
     The diagonal of D is non-negative and satisfies d1 | d2 | ...; the
     reported invariants are those of the cokernel Z^cols / rowlattice(A).
+
+    The elimination is Cohen's Algorithm 2.4.14 (*A Course in Computational
+    Algebraic Number Theory*).  Step k pivots on a minimal nonzero entry of
+    the trailing block and repeats until row and column k are clear and the
+    pivot divides the whole trailing block; each repeat strictly shrinks
+    the pivot.  The invariant: after step k, D is diagonal in its first
+    k+1 rows and columns and d_k divides every later entry, so d1 | d2 | ...
+    holds without a second pass, and zeros come last.
     """
     D = _rows_of(A)
     m, n = A.rows, A.cols
@@ -264,6 +272,8 @@ def snf(A: IntMatrix) -> SNFResult:
             if bj != k:
                 swap_cols(k, bj)
             p = D[k][k]
+            # row ops leave row k alone and column ops column k, so a
+            # remainder left in either shows up as dirty
             dirty = False
             for i in range(k + 1, m):
                 if D[i][k]:
@@ -275,41 +285,19 @@ def snf(A: IntMatrix) -> SNFResult:
                     col_op(j, k, D[k][j] // p)
                     if D[k][j]:
                         dirty = True
-            if not dirty and all(D[i][k] == 0 for i in range(k + 1, m)) and all(
-                D[k][j] == 0 for j in range(k + 1, n)
-            ):
+            if dirty:
+                continue
+            # row and column k are clear; a trailing row the pivot does not
+            # divide is added to row k, to be reduced to a smaller pivot
+            bad = -1 if best == 1 else next(
+                (i for i in range(k + 1, m) if any(x % p for x in D[i][k + 1 :])), -1
+            )
+            if bad < 0:
                 break
+            row_op(k, bad, -1)
         if D[k][k] < 0:
             D[k] = [-x for x in D[k]]
             U[k] = [-x for x in U[k]]
-
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for k in range(size - 1):
-            a, b = D[k][k], D[k + 1][k + 1]
-            if a == 0 and b != 0:
-                swap_rows(k, k + 1)
-                swap_cols(k, k + 1)
-                changed = True
-            elif a != 0 and b % a != 0:
-                # fold column k+1 into column k, then rediagonalize the
-                # isolated 2x2 block; its determinant +-ab is preserved, so
-                # the result is diag(gcd, lcm) up to sign
-                col_op(k, k + 1, -1)
-                while D[k + 1][k]:
-                    row_op(k, k + 1, D[k][k] // D[k + 1][k])
-                    swap_rows(k, k + 1)
-                if D[k][k + 1]:
-                    col_op(k + 1, k, D[k][k + 1] // D[k][k])
-                if D[k][k] < 0:
-                    D[k] = [-x for x in D[k]]
-                    U[k] = [-x for x in U[k]]
-                if D[k + 1][k + 1] < 0:
-                    D[k + 1] = [-x for x in D[k + 1]]
-                    U[k + 1] = [-x for x in U[k + 1]]
-                changed = True
 
     diag = [D[i][i] for i in range(size)]
     rank = sum(1 for d in diag if d)

@@ -203,6 +203,12 @@ class TestIdealEq:
         b = self.write(tmp_path, "b.ideal", "ring: t:1\n2*t\n")
         assert run(capsys, "ideal-eq", a, b)[0] == 2
 
+        latin1 = tmp_path / "latin1.ideal"
+        latin1.write_bytes(b"ring: t:1\n# caf\xe9\n2*t\n")
+        code, out, err = run(capsys, "ideal-eq", b, str(latin1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s: " % latin1)
+
     def test_present_vs_derive_golden(self, capsys, tmp_path):
         _, present_out, _ = run(
             capsys, "present", "--theorem", "thm1.3", "--g", "4", "--n", "2"
@@ -284,6 +290,37 @@ class TestVerify:
         _, out_serial, _ = run(capsys, *args)
         assert out == out_serial
 
+        monkeypatch.setenv("CHOWFORGE_JOBS", "abc")
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "CHOWFORGE_JOBS" in err
+
+    def test_pool_capped_at_task_count(self, capsys, monkeypatch):
+        class FakePool:
+            """Records the pool size and runs the tasks in this process."""
+
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("chowforge.cli.ProcessPoolExecutor", FakePool)
+        args = ("verify", "--suite", "identities", "--ab-max", "1")
+        code, out, _ = run(capsys, *args, "--jobs", "64")
+        assert code == 0 and "4 checks, 0 failed" in out
+        assert FakePool.sizes == [4]
+        assert run(capsys, *args, "--jobs", "3")[1] == out
+        assert FakePool.sizes == [4, 3]
+
     def test_malformed_flags_exit_2(self, capsys):
         assert run(capsys, "verify", "--suite", "bogus")[0] == 2
         assert run(capsys, "verify", "--g-max", "1")[0] == 2
@@ -310,3 +347,9 @@ class TestVerify:
 
         missing = str(tmp_path / "missing.ideal")
         assert run(capsys, "verify", "--external", missing)[0] == 2
+
+        latin1 = tmp_path / "latin1.ideal"
+        latin1.write_bytes(b"ring: t:1\n# caf\xe9\n2*t\n")
+        code, out, err = run(capsys, "verify", "--external", str(latin1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s: " % latin1)

@@ -86,6 +86,18 @@ class TestSNF:
         # d1 = gcd of entries = 2 and d1*d2 = |det| = 12
         res = snf(mat([[2, 4], [0, 6]]))
         assert [res.d.entries[i][i] for i in range(2)] == [2, 6]
+        # diagonal inputs whose entries do not divide each other, and a zero
+        # pivot ahead of a nonzero one
+        cases = [
+            ([[2, 0], [0, 3]], [1, 6]),
+            ([[4, 0], [0, 6]], [2, 12]),
+            ([[6, 0, 0], [0, 4, 0], [0, 0, 10]], [2, 2, 60]),
+            ([[0, 0], [0, 3]], [3, 0]),
+        ]
+        for rows, want in cases:
+            res = snf(mat(rows))
+            assert [res.d.entries[i][i] for i in range(len(want))] == want
+            assert res.u.mul(mat(rows)).mul(res.v) == res.d
 
     def test_identity(self):
         res = snf(IntMatrix.identity(2))
