@@ -116,16 +116,18 @@ def _read_text(path: str) -> str:
         raise ParamError("%s: %s" % (path, exc)) from None
 
 
+def _parse_file(path: str):
+    """The (ring, relations) of an ideal file; a file that does not parse
+    is a usage error naming the file."""
+    try:
+        return parse_ideal_file(_read_text(path))
+    except ParseError as exc:
+        raise ParamError("%s: %s" % (path, exc)) from None
+
+
 def _cmd_ideal_eq(args) -> int:
-    sides = []
-    for path in (args.file_a, args.file_b):
-        src = _read_text(path)
-        try:
-            sides.append(parse_ideal_file(src))
-        except ParseError as exc:
-            print("error: %s: %s" % (path, exc), file=sys.stderr)
-            return 2
-    (ring_a, rel_a), (ring_b, rel_b) = sides
+    ring_a, rel_a = _parse_file(args.file_a)
+    ring_b, rel_b = _parse_file(args.file_b)
     if ring_a != ring_b:
         print("error: ring headers differ", file=sys.stderr)
         return 2
@@ -295,7 +297,7 @@ def _run_task(task: tuple[str, Params]) -> CheckReport:
 def _external_reports(path: str) -> list[CheckReport]:
     """Checks for a user-supplied ideal file: serialization round trip and
     properness of the presented ideal (no unit relation)."""
-    ring, relations = parse_ideal_file(_read_text(path))  # ParseError -> usage error
+    ring, relations = _parse_file(path)
     P = Presentation(ring, relations)
     text = format_ideal_file(P.ring, P.relations)
     ring2, rel2 = parse_ideal_file(text)

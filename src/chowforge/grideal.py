@@ -104,8 +104,9 @@ def _vector_of(p: Polynomial, index: dict[tuple[int, ...], int]) -> list[int]:
 
 
 def _degree_rows(P: Presentation, d: int):
-    """Rows spanning the degree-d piece of the ideal, with (generator,
-    multiplier exponent) labels for certificate reassembly."""
+    """Rows spanning the degree-d piece of the ideal over the monomial
+    index of degree d, with (generator, multiplier exponent) labels for
+    certificate reassembly."""
     basis = _monomial_basis_cached(P.ring, d)
     index = {e: i for i, e in enumerate(basis)}
     rows: list[list[int]] = []
@@ -121,7 +122,7 @@ def _degree_rows(P: Presentation, d: int):
                 row[index[prod]] = gcoeff
             rows.append(row)
             labels.append((gi, mono))
-    return basis, rows, labels
+    return index, rows, labels
 
 
 def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
@@ -129,8 +130,8 @@ def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
     over monomial_basis(d)."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    basis, rows, _ = _degree_rows(P, d)
-    return IntMatrix.from_rows(rows, cols=len(basis))
+    index, rows, _ = _degree_rows(P, d)
+    return IntMatrix.from_rows(rows, cols=len(index))
 
 
 class Certificate:
@@ -178,9 +179,8 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
     if f.is_zero():
         return Certificate(P, f, [Polynomial.zero(P.ring)] * len(P.relations))
     d = f.weighted_degree()
-    basis, rows, labels = _degree_rows(P, d)
-    index = {e: i for i, e in enumerate(basis)}
-    A = IntMatrix.from_rows(rows, cols=len(basis))
+    index, rows, labels = _degree_rows(P, d)
+    A = IntMatrix.from_rows(rows, cols=len(index))
     x = solve_in_row_lattice(A, _vector_of(f, index))
     if x is None:
         return None
@@ -215,12 +215,10 @@ def ideal_equal(P: Presentation, Q: Presentation) -> EqualityResult:
     membership of the generator lists, degree by degree."""
     if P.ring != Q.ring:
         raise ValueError("ring mismatch")
-    for g in P.relations:
-        if contains(Q, g) is None:
-            return EqualityResult(False, g, "left")
-    for g in Q.relations:
-        if contains(P, g) is None:
-            return EqualityResult(False, g, "right")
+    for side, X, Y in (("left", P, Q), ("right", Q, P)):
+        for g in X.relations:
+            if contains(Y, g) is None:
+                return EqualityResult(False, g, side)
     return EqualityResult(True)
 
 

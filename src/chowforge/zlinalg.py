@@ -1,15 +1,16 @@
 """Exact integer matrix normal forms: the decision kernel for ideal arithmetic.
 
-Row-style Hermite normal form with a unimodular transform, Smith normal
-form with both transforms, and lattice membership with re-verified
-certificates.  Everything is plain Python ints, so results are exact at
-any size; pivoting by minimal absolute value keeps the intermediate
-entries from exploding.
+Row-style Hermite normal form with a unimodular transform, Smith
+invariants, and lattice membership with re-verified certificates.  One
+elimination loop serves both normal forms.  Everything is plain Python
+ints, so results are exact at any size; pivoting by minimal absolute
+value keeps the intermediate entries from exploding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -130,23 +131,14 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _rows_of(A: IntMatrix) -> list[list[int]]:
-    return [list(r) for r in A.entries]
-
-
-def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with H = U.A, U unimodular, pivots positive, entries
-    above each pivot reduced into [0, pivot), zero rows at the bottom.  H
-    is canonical for the row lattice of A, so lattice equality is string
-    equality of HNFs.
-    """
-    H = _rows_of(A)
-    n = A.rows
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _echelon(H: list[list[int]], cols: int, U: list[list[int]] | None) -> int:
+    """Bring the rows H to row-style Hermite normal form in place and
+    return the rank.  Each row operation is also applied to the rows U
+    when they are given, so U.A = H holds on return if U started as the
+    identity."""
+    n = len(H)
     r = 0
-    for c in range(A.cols):
+    for c in range(cols):
         # gcd out the column below row r, keeping the smallest pivot
         while True:
             pivot = -1
@@ -159,9 +151,10 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 break
             if pivot != r:
                 H[r], H[pivot] = H[pivot], H[r]
-                U[r], U[pivot] = U[pivot], U[r]
+                if U is not None:
+                    U[r], U[pivot] = U[pivot], U[r]
             hr = H[r]
-            ur = U[r]
+            ur = U[r] if U is not None else None
             p = hr[c]
             done = True
             for i in range(r + 1, n):
@@ -170,11 +163,12 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     q = v // p
                     if q:
                         hi = H[i]
-                        ui = U[i]
-                        for j in range(c, A.cols):
+                        for j in range(c, cols):
                             hi[j] -= q * hr[j]
-                        for j in range(n):
-                            ui[j] -= q * ur[j]
+                        if ur is not None:
+                            ui = U[i]
+                            for j in range(n):
+                                ui[j] -= q * ur[j]
                     if H[i][c]:
                         done = False
             if done:
@@ -183,130 +177,87 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+            if U is not None:
+                U[r] = [-x for x in U[r]]
         hr = H[r]
-        ur = U[r]
+        ur = U[r] if U is not None else None
         p = hr[c]
         for i in range(r):
             q = H[i][c] // p
             if q:
                 hi = H[i]
-                ui = U[i]
-                for j in range(c, A.cols):
+                for j in range(c, cols):
                     hi[j] -= q * hr[j]
-                for j in range(n):
-                    ui[j] -= q * ur[j]
+                if ur is not None:
+                    ui = U[i]
+                    for j in range(n):
+                        ui[j] -= q * ur[j]
         r += 1
         if r == n:
             break
-    return IntMatrix(A.rows, A.cols, H), IntMatrix(n, n, U)
+    return r
+
+
+def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U.A, U unimodular, pivots positive, entries
+    above each pivot reduced into [0, pivot), zero rows at the bottom.  H
+    is canonical for the row lattice of A, so lattice equality is string
+    equality of HNFs.
+    """
+    H = [list(row) for row in A.entries]
+    n = A.rows
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _echelon(H, A.cols, U)
+    return IntMatrix(n, A.cols, H), IntMatrix(n, n, U)
 
 
 class SNFResult(NamedTuple):
     d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
     invariants: AbelianInvariants
 
 
 def snf(A: IntMatrix) -> SNFResult:
-    """Smith normal form D = U.A.V with unimodular U, V.
+    """Smith normal form D of A, without transforms.
 
-    The diagonal of D is non-negative and satisfies d1 | d2 | ...; the
-    reported invariants are those of the cokernel Z^cols / rowlattice(A).
+    The diagonal of D is non-negative and satisfies d1 | d2 | ..., with
+    zeros last; the reported invariants are those of the cokernel
+    Z^cols / rowlattice(A).
 
-    The elimination is Cohen's Algorithm 2.4.14 (*A Course in Computational
-    Algebraic Number Theory*).  Step k pivots on a minimal nonzero entry of
-    the trailing block and repeats until row and column k are clear and the
-    pivot divides the whole trailing block; each repeat strictly shrinks
-    the pivot.  The invariant: after step k, D is diagonal in its first
-    k+1 rows and columns and d_k divides every later entry, so d1 | d2 | ...
-    holds without a second pass, and zeros come last.
+    The elimination alternates Hermite forms of the rows and of the
+    columns (Kannan and Bachem, SIAM J. Comput. 8(4), 1979): each pass
+    echelons the rows, drops the zero rows and transposes, until the
+    block is diagonal.  The loop ends.  A cleared row or column stays
+    clear, since its pivot divides the rest of its column and is the
+    first minimal entry there, so the echelon keeps it in place.  At
+    the first k whose row or column is not clear, each pass makes the
+    new (k, k) pivot the gcd of the line through the old one, so it
+    divides it: it is the same only when that pass leaves row and
+    column k clear, and otherwise it is at most half.  A gcd/lcm pass
+    over the diagonal then gives d1 | d2 | ...
     """
-    D = _rows_of(A)
-    m, n = A.rows, A.cols
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op(j, k, q):
-        # col_j -= q * col_k
-        for row in D:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    def swap_cols(j, k):
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def row_op(i, k, q):
-        di, dk = D[i], D[k]
-        for j in range(n):
-            di[j] -= q * dk[j]
-        ui, uk = U[i], U[k]
-        for j in range(m):
-            ui[j] -= q * uk[j]
-
-    def swap_rows(i, k):
-        D[i], D[k] = D[k], D[i]
-        U[i], U[k] = U[k], U[i]
-
-    size = min(m, n)
-    for k in range(size):
-        while True:
-            # locate the minimal nonzero entry of the trailing block
-            bi = bj = -1
-            best = 0
-            for i in range(k, m):
-                row = D[i]
-                for j in range(k, n):
-                    v = row[j]
-                    if v and (bi < 0 or abs(v) < best):
-                        bi, bj, best = i, j, abs(v)
-            if bi < 0:
-                break
-            if bi != k:
-                swap_rows(k, bi)
-            if bj != k:
-                swap_cols(k, bj)
-            p = D[k][k]
-            # row ops leave row k alone and column ops column k, so a
-            # remainder left in either shows up as dirty
-            dirty = False
-            for i in range(k + 1, m):
-                if D[i][k]:
-                    row_op(i, k, D[i][k] // p)
-                    if D[i][k]:
-                        dirty = True
-            for j in range(k + 1, n):
-                if D[k][j]:
-                    col_op(j, k, D[k][j] // p)
-                    if D[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # row and column k are clear; a trailing row the pivot does not
-            # divide is added to row k, to be reduced to a smaller pivot
-            bad = -1 if best == 1 else next(
-                (i for i in range(k + 1, m) if any(x % p for x in D[i][k + 1 :])), -1
-            )
-            if bad < 0:
-                break
-            row_op(k, bad, -1)
-        if D[k][k] < 0:
-            D[k] = [-x for x in D[k]]
-            U[k] = [-x for x in U[k]]
-
-    diag = [D[i][i] for i in range(size)]
-    rank = sum(1 for d in diag if d)
+    D = [list(row) for row in A.entries]
+    cols = A.cols
+    while True:
+        rank = _echelon(D, cols, None)
+        del D[rank:]
+        if all(not any(row[i + 1 :]) for i, row in enumerate(D)):
+            break
+        D = [list(col) for col in zip(*D)]
+        cols = rank
+    diag = [row[i] for i, row in enumerate(D)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    d = [[0] * A.cols for _ in range(A.rows)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
     invariants = AbelianInvariants(
-        free_rank=n - rank, torsion=tuple(d for d in diag if d >= 2)
+        free_rank=A.cols - rank, torsion=tuple(x for x in diag if x >= 2)
     )
-    return SNFResult(
-        IntMatrix(m, n, D), IntMatrix(m, m, U), IntMatrix(n, n, V), invariants
-    )
+    return SNFResult(IntMatrix(A.rows, A.cols, d), invariants)
 
 
 def solve_in_row_lattice(A: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:

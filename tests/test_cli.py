@@ -344,6 +344,7 @@ class TestVerify:
         broken.write_text("ring: t:1\n2*\n")
         code, _, err = run(capsys, "verify", "--external", str(broken))
         assert code == 2
+        assert err.startswith("error: %s: line 2" % broken)
 
         missing = str(tmp_path / "missing.ideal")
         assert run(capsys, "verify", "--external", missing)[0] == 2

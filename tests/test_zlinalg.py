@@ -10,6 +10,7 @@ from chowforge.zlinalg import (
     snf,
     solve_in_row_lattice,
 )
+from dense_snf import dense_snf
 
 
 def det(m):
@@ -86,18 +87,23 @@ class TestSNF:
         # d1 = gcd of entries = 2 and d1*d2 = |det| = 12
         res = snf(mat([[2, 4], [0, 6]]))
         assert [res.d.entries[i][i] for i in range(2)] == [2, 6]
-        # diagonal inputs whose entries do not divide each other, and a zero
-        # pivot ahead of a nonzero one
+        # diagonal inputs whose entries do not divide each other, a zero
+        # pivot ahead of a nonzero one, an input that needs three echelon
+        # passes (rows, columns, rows) and a rank-deficient one
         cases = [
             ([[2, 0], [0, 3]], [1, 6]),
             ([[4, 0], [0, 6]], [2, 12]),
             ([[6, 0, 0], [0, 4, 0], [0, 0, 10]], [2, 2, 60]),
             ([[0, 0], [0, 3]], [3, 0]),
+            ([[2, 1], [0, 2]], [1, 4]),
+            ([[2, 4], [1, 2], [3, 6]], [1, 0]),
         ]
         for rows, want in cases:
-            res = snf(mat(rows))
+            A = mat(rows)
+            res = snf(A)
             assert [res.d.entries[i][i] for i in range(len(want))] == want
-            assert res.u.mul(mat(rows)).mul(res.v) == res.d
+            oracle = dense_snf(A)
+            assert oracle.u.mul(A).mul(oracle.v) == oracle.d == res.d
 
     def test_identity(self):
         res = snf(IntMatrix.identity(2))
@@ -110,10 +116,10 @@ class TestSNF:
 
     def test_transforms(self):
         A = mat([[6, 4, 2], [2, 8, 0]])
-        res = snf(A)
-        assert res.u.mul(A).mul(res.v) == res.d
-        assert abs(det([list(r) for r in res.u.entries])) == 1
-        assert abs(det([list(r) for r in res.v.entries])) == 1
+        oracle = dense_snf(A)
+        assert oracle.u.mul(A).mul(oracle.v) == oracle.d == snf(A).d
+        assert abs(det([list(r) for r in oracle.u.entries])) == 1
+        assert abs(det([list(r) for r in oracle.v.entries])) == 1
 
     def test_empty_and_zero(self):
         res = snf(IntMatrix.zeros(2, 3))
@@ -161,9 +167,10 @@ def test_unimodularity_up_to_8x8():
         A = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         _, U = hnf(A)
         assert abs(det([list(r) for r in U.entries])) == 1
-        res = snf(A)
-        assert abs(det([list(r) for r in res.u.entries])) == 1
-        assert abs(det([list(r) for r in res.v.entries])) == 1
+        oracle = dense_snf(A)
+        assert abs(det([list(r) for r in oracle.u.entries])) == 1
+        assert abs(det([list(r) for r in oracle.v.entries])) == 1
+        assert oracle.u.mul(A).mul(oracle.v) == oracle.d == snf(A).d
 
 
 _mats = st.integers(1, 6).flatmap(
@@ -177,17 +184,43 @@ _mats = st.integers(1, 6).flatmap(
 )
 
 
+def _with_zero_lines(rows, zero_rows, zero_cols):
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+# up to 8x8, with some rows and columns zeroed to make the rank deficient
+_zeroed_mats = st.integers(1, 8).flatmap(
+    lambda r: st.integers(1, 8).flatmap(
+        lambda c: st.builds(
+            _with_zero_lines,
+            st.lists(
+                st.lists(st.integers(-99, 99), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            ),
+            st.sets(st.integers(0, r - 1)),
+            st.sets(st.integers(0, c - 1)),
+        )
+    )
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_mats)
+@given(_zeroed_mats)
 def test_snf_transform_identity(rows):
     A = mat(rows)
     res = snf(A)
-    # recompute U*A*V with an independent triple loop
+    oracle = dense_snf(A)
+    # recompute U*A*V on the oracle with an independent triple loop
     prod = naive_mul(
-        naive_mul([list(r) for r in res.u.entries], rows),
-        [list(r) for r in res.v.entries],
+        naive_mul([list(r) for r in oracle.u.entries], rows),
+        [list(r) for r in oracle.v.entries],
     )
-    assert prod == [list(r) for r in res.d.entries]
+    assert prod == [list(r) for r in oracle.d.entries]
+    assert res.d == oracle.d
     diag = [res.d.entries[i][i] for i in range(min(A.rows, A.cols))]
     for i in range(len(diag) - 1):
         if diag[i] == 0:
