@@ -145,7 +145,7 @@ def _cmd_ideal_eq(args) -> int:
 class CheckReport:
     check_id: str
     params: Params
-    verdict: str  # pass / fail / skipped
+    verdict: str  # pass / fail / error
     witness: str | None
     elapsed_ms: int = 0
 
@@ -163,7 +163,7 @@ class CheckReport:
         head = "%s %s" % (self.verdict.upper(), self.check_id)
         if str(self.params):
             head += " [%s]" % self.params
-        if self.verdict == "fail" and self.witness:
+        if self.verdict != "pass" and self.witness:
             head += ": %s" % self.witness
         return head
 
@@ -289,8 +289,8 @@ def _run_task(task: tuple[str, Params]) -> CheckReport:
     check_id, params = task
     try:
         ok, witness = _CHECKS[check_id][2](params)
-    except Exception as exc:  # a crashed check is a failed check
-        ok, witness = False, "error: %s" % exc
+    except Exception as exc:  # a crash is not a mathematical verdict
+        return CheckReport(check_id, params, "error", "error: %s" % exc)
     return CheckReport(check_id, params, "pass" if ok else "fail", witness)
 
 
@@ -348,7 +348,7 @@ def _cmd_verify(args) -> int:
 
 
 def _emit_reports(reports: list[CheckReport], fmt: str) -> int:
-    failures = [r for r in reports if r.verdict == "fail"]
+    failures = [r for r in reports if r.verdict != "pass"]
     if fmt == "json":
         for r in reports:
             print(r.json_line())

@@ -2,9 +2,13 @@
 
 Row-style Hermite normal form with a unimodular transform, Smith
 invariants, and lattice membership with re-verified certificates.  One
-elimination loop serves both normal forms.  Everything is plain Python
-ints, so results are exact at any size; pivoting by minimal absolute
-value keeps the intermediate entries from exploding.
+elimination loop serves both normal forms.  The transform U of `hnf` is
+kept as the log of its row operations (the product form of Dantzig and
+Orchard-Hays, 1954): a certificate x = y.U replays the log on the one
+vector y, and the dense U is built from the log only on first read of
+its entries.  Everything is plain Python ints, so results are exact at
+any size; pivoting by minimal absolute value keeps the intermediate
+entries from exploding.
 """
 
 from __future__ import annotations
@@ -131,11 +135,13 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _echelon(H: list[list[int]], cols: int, U: list[list[int]] | None) -> int:
+def _echelon(H: list[list[int]], cols: int, ops: list[tuple[int, int, int]] | None) -> int:
     """Bring the rows H to row-style Hermite normal form in place and
-    return the rank.  Each row operation is also applied to the rows U
-    when they are given, so U.A = H holds on return if U started as the
-    identity."""
+    return the rank.  When a list `ops` is given, each row operation is
+    appended to it as one tuple: (i, r, q) for row i -= q.row r, (r, p, 0)
+    for a swap of rows r and p, and (r, r, 0) for a negation of row r.
+    Applied in order to the identity, the log gives the U with U.A = H;
+    no dense transform is built here."""
     n = len(H)
     r = 0
     for c in range(cols):
@@ -151,10 +157,9 @@ def _echelon(H: list[list[int]], cols: int, U: list[list[int]] | None) -> int:
                 break
             if pivot != r:
                 H[r], H[pivot] = H[pivot], H[r]
-                if U is not None:
-                    U[r], U[pivot] = U[pivot], U[r]
+                if ops is not None:
+                    ops.append((r, pivot, 0))
             hr = H[r]
-            ur = U[r] if U is not None else None
             p = hr[c]
             done = True
             for i in range(r + 1, n):
@@ -165,10 +170,8 @@ def _echelon(H: list[list[int]], cols: int, U: list[list[int]] | None) -> int:
                         hi = H[i]
                         for j in range(c, cols):
                             hi[j] -= q * hr[j]
-                        if ur is not None:
-                            ui = U[i]
-                            for j in range(n):
-                                ui[j] -= q * ur[j]
+                        if ops is not None:
+                            ops.append((i, r, q))
                     if H[i][c]:
                         done = False
             if done:
@@ -177,10 +180,9 @@ def _echelon(H: list[list[int]], cols: int, U: list[list[int]] | None) -> int:
             continue
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
-            if U is not None:
-                U[r] = [-x for x in U[r]]
+            if ops is not None:
+                ops.append((r, r, 0))
         hr = H[r]
-        ur = U[r] if U is not None else None
         p = hr[c]
         for i in range(r):
             q = H[i][c] // p
@@ -188,14 +190,48 @@ def _echelon(H: list[list[int]], cols: int, U: list[list[int]] | None) -> int:
                 hi = H[i]
                 for j in range(c, cols):
                     hi[j] -= q * hr[j]
-                if ur is not None:
-                    ui = U[i]
-                    for j in range(n):
-                        ui[j] -= q * ur[j]
+                if ops is not None:
+                    ops.append((i, r, q))
         r += 1
         if r == n:
             break
     return r
+
+
+class _LoggedTransform(IntMatrix):
+    """The unimodular U of `hnf`, kept as the log of `_echelon`'s row
+    operations.  `row_mul` replays the log on one vector; the dense
+    entries, row k being e_k.U, are built on first read and then cached."""
+
+    __slots__ = ("_ops", "_dense")
+
+    def __init__(self, n: int, ops: list[tuple[int, int, int]]):
+        self.rows = self.cols = n
+        self._ops = ops
+        self._dense = None
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        if self._dense is None:
+            n = self.rows
+            self._dense = tuple(self.row_mul([int(i == k) for i in range(n)]) for k in range(n))
+        return self._dense
+
+    def row_mul(self, x: Sequence[int]) -> tuple[int, ...]:
+        """x . U, by the transposed operations applied to x in reverse
+        order: O(len(log)), and no matrix is built."""
+        if len(x) != self.rows:
+            raise ValueError("dimension mismatch in vector product")
+        y = list(x)
+        for i, r, q in reversed(self._ops):
+            if q:
+                if y[i]:
+                    y[r] -= q * y[i]
+            elif i != r:
+                y[i], y[r] = y[r], y[i]
+            else:
+                y[i] = -y[i]
+        return tuple(y)
 
 
 def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -204,13 +240,14 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (H, U) with H = U.A, U unimodular, pivots positive, entries
     above each pivot reduced into [0, pivot), zero rows at the bottom.  H
     is canonical for the row lattice of A, so lattice equality is string
-    equality of HNFs.
+    equality of HNFs.  U is kept as the log of the row operations:
+    `U.row_mul` replays it on one vector, and `U.entries` is built from
+    it on first read.
     """
     H = [list(row) for row in A.entries]
-    n = A.rows
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _echelon(H, A.cols, U)
-    return IntMatrix(n, A.cols, H), IntMatrix(n, n, U)
+    ops: list[tuple[int, int, int]] = []
+    _echelon(H, A.cols, ops)
+    return IntMatrix(A.rows, A.cols, H), _LoggedTransform(A.rows, ops)
 
 
 class SNFResult(NamedTuple):

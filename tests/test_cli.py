@@ -250,6 +250,26 @@ class TestVerify:
         assert "FAIL remark37-nonredundant [a=1, b=1]" in out
         assert "first failure: FAIL remark37-nonredundant" in out
 
+    def test_crashed_check_is_an_error(self, capsys, monkeypatch):
+        def boom(a, b):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("chowforge.catalog.lemma_3_4_check", boom)
+        code, out, _ = run(capsys, "verify", "--suite", "lemma34", "--ab-max", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "ERROR lemma34-superfluous [a=1, b=1]: error: boom",
+            "1 checks, 1 failed",
+            "first failure: ERROR lemma34-superfluous [a=1, b=1]: error: boom",
+        ]
+        code, out, _ = run(
+            capsys, "verify", "--suite", "lemma34", "--ab-max", "1", "--format", "json"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "error" and doc["witness"] == "error: boom"
+        assert '"verdict":"error"' in out
+
     def test_ndjson_schema_and_order(self, capsys):
         code, out, _ = run(
             capsys,

@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowforge import zlinalg
+from chowforge.catalog import lemma_3_4_check
+from chowforge.grideal import ideal_degree_matrix, monomial_basis
 from chowforge.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -10,6 +13,7 @@ from chowforge.zlinalg import (
     snf,
     solve_in_row_lattice,
 )
+from dense_hnf import dense_hnf, dense_solve_in_row_lattice
 from dense_snf import dense_snf
 
 
@@ -257,3 +261,67 @@ def test_hnf_shape_and_transform(rows):
             p = nz[0]
             for k in range(i):
                 assert 0 <= H.entries[k][p] < r[p]
+
+
+def _int_rows(r, c):
+    return st.lists(st.lists(st.integers(-5, 5), min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+# up to 8x8 and rank at most 3, so most rows depend on the others
+_low_rank_mats = st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 8)).flatmap(
+    lambda s: st.builds(naive_mul, _int_rows(s[0], s[1]), _int_rows(s[1], s[2]))
+)
+
+
+def _assert_matches_dense_oracle(A, ys, vs):
+    """H, U, x.U and lattice certificates agree with the dense kernel."""
+    H, U = hnf(A)
+    dense_H, dense_U = dense_hnf(A)
+    assert H == dense_H
+    for y in ys:
+        assert U.row_mul(y) == dense_U.row_mul(y)
+    for v in vs:
+        assert solve_in_row_lattice(A, v) == dense_solve_in_row_lattice(A, v)
+    # read last, so that row_mul above ran on the log alone
+    assert U.entries == dense_U.entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_zeroed_mats, _low_rank_mats), st.randoms(use_true_random=False))
+def test_hnf_matches_dense_oracle(rows, rng):
+    A = mat(rows)
+    ys = [[rng.randint(-9, 9) for _ in range(A.rows)] for _ in range(3)]
+    members = [A.row_mul(y) for y in ys]
+    others = [[rng.randint(-9, 9) for _ in range(A.cols)] for _ in range(2)]
+    _assert_matches_dense_oracle(A, ys, members + others)
+
+
+def _lemma34_system(j):
+    """The degree-(2j+1) matrix of the Lemma 3.4 ideal and the coefficient
+    vector of its product of the 2j+1 hyperplane classes."""
+    ((_, cert),) = lemma_3_4_check(j, j).certificates
+    d = 2 * j + 1
+    index = {e: i for i, e in enumerate(monomial_basis(cert.presentation.ring, d))}
+    v = [0] * len(index)
+    for e, c in cert.member.terms.items():
+        v[index[e]] = c
+    return ideal_degree_matrix(cert.presentation, d), v
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_lemma34_matrices_match_dense_oracle(j):
+    A, v = _lemma34_system(j)
+    rng = random.Random(j)
+    y = [rng.randint(-9, 9) for _ in range(A.rows)]
+    _assert_matches_dense_oracle(A, [y], [v, A.row_mul(y)])
+
+
+def test_membership_never_builds_dense_u(monkeypatch):
+    A, v = _lemma34_system(4)
+
+    def refuse(self):
+        raise AssertionError("lattice membership built the dense U")
+
+    monkeypatch.setattr(zlinalg._LoggedTransform, "entries", property(refuse))
+    x = solve_in_row_lattice(A, v)
+    assert x is not None and x == dense_solve_in_row_lattice(A, v)
