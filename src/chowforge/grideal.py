@@ -3,6 +3,16 @@
 No Groebner bases: every ideal handled here is homogeneous with
 bounded-degree generators, so membership, containment and equality
 reduce to finite lattice questions, one weighted degree at a time.
+
+When a relation g is monic of degree k in one variable x, the projective
+bundle formula (Fulton, Intersection Theory, Thm 3.3(b) and Ex. 8.3.4)
+makes the quotient by g a free module over the ring of the other
+variables, with basis 1, x, ..., x^(k-1).  Membership is then decided
+in that module, whose degree-d piece is far smaller than the Macaulay
+matrix of all degree-d multiples of the relations.  The Macaulay matrix
+is the route when no relation is monic, and for the graded invariants
+of the quotient.
+
 Membership certificates are reassembled into explicit polynomial
 cofactors and re-verified by exact arithmetic before being returned.
 """
@@ -12,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intpoly import Polynomial, RingSpec
 from .zlinalg import AbelianInvariants, IntMatrix, snf, solve_in_row_lattice
@@ -96,9 +106,9 @@ def monomial_basis(ring: RingSpec, d: int) -> list[tuple[int, ...]]:
     return list(_monomial_basis_cached(ring, d))
 
 
-def _vector_of(p: Polynomial, index: dict[tuple[int, ...], int]) -> list[int]:
+def _vector_of(terms, index: dict[tuple[int, ...], int]) -> list[int]:
     v = [0] * len(index)
-    for exps, coeff in p.terms.items():
+    for exps, coeff in terms.items():
         v[index[exps]] = coeff
     return v
 
@@ -171,25 +181,162 @@ class Certificate:
         return " + ".join(parts) if parts else "0"
 
 
-def contains(P: Presentation, f: Polynomial) -> Certificate | None:
-    """Membership of a homogeneous polynomial, with an explicit certificate
-    on success and None on refusal."""
-    if f.ring != P.ring:
-        raise ValueError("ring mismatch")
-    if f.is_zero():
-        return Certificate(P, f, [Polynomial.zero(P.ring)] * len(P.relations))
-    d = f.weighted_degree()
+@lru_cache(maxsize=None)
+def _low_basis(ring: RingSpec, x: int, below: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The degree-d monomials whose exponent of variable x is below
+    `below`, in canonical order."""
+    return tuple(e for e in _monomial_basis_cached(ring, d) if e[x] < below)
+
+
+def _divide(terms, x: int, k: int, sign: int, tail) -> tuple[dict, dict]:
+    """Division by g = sign*x^k + tail, where tail has x-degree < k:
+    the terms of q and r with p = q*g + r and r of x-degree < k."""
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for exps, c in terms.items():
+        buckets.setdefault(exps[x], {})[exps] = c
+    quo: dict[tuple[int, ...], int] = {}
+    for e in range(max(buckets, default=0), k - 1, -1):
+        for exps, c in buckets.pop(e, {}).items():
+            if not c:
+                continue
+            qe = exps[:x] + (e - k,) + exps[x + 1 :]
+            qc = sign * c
+            quo[qe] = qc
+            for te, tc in tail:
+                t = tuple(a + b for a, b in zip(qe, te))
+                b = buckets.setdefault(t[x], {})
+                b[t] = b.get(t, 0) - qc * tc
+    rem = {exps: c for b in buckets.values() for exps, c in b.items() if c}
+    return quo, rem
+
+
+class _Bundle(NamedTuple):
+    """A relation g = sign*x^k + tail of P, monic in the variable x, and
+    for each other relation h and each i < k the division
+    x^i*h = q*g + r, as (h index, i, degree of x^i*h, r terms, q terms)."""
+
+    gi: int
+    x: int
+    k: int
+    sign: int
+    tail: tuple[tuple[tuple[int, ...], int], ...]
+    reductions: tuple
+
+
+@lru_cache(maxsize=16)
+def _bundle(P: Presentation) -> _Bundle | None:
+    """The first relation of positive degree, in relation order, that is
+    monic in a variable, the first such variable in ring order; None when
+    no relation is.  Monic means a pure power x^k with coefficient +-1 and
+    k*weight(x) = deg g, so by homogeneity no other term of g reaches
+    x-degree k.  The cache is small: `ideal_equal` asks about two
+    presentations at a time, and a `verify` grid holds hundreds."""
+    ring = P.ring
+    degrees = [ring.exponent_degree(next(iter(g.terms))) for g in P.relations]
+    for gi, (g, D) in enumerate(zip(P.relations, degrees)):
+        if D == 0:
+            continue
+        for x, w in enumerate(ring.weights):
+            k, rest = divmod(D, w)
+            pure = (0,) * x + (k,) + (0,) * (len(ring) - x - 1)
+            if rest == 0 and g.terms.get(pure) in (1, -1):
+                break
+        else:
+            continue
+        sign = g.terms[pure]
+        tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
+        reductions = []
+        for hi, h in enumerate(P.relations):
+            if hi == gi:
+                continue
+            for i in range(k):
+                shifted = {
+                    ex[:x] + (ex[x] + i,) + ex[x + 1 :]: c for ex, c in h.terms.items()
+                }
+                q, r = _divide(shifted, x, k, sign, tail)
+                if r:
+                    reductions.append((hi, i, degrees[hi] + i * w, r, q))
+        return _Bundle(gi, x, k, sign, tail, tuple(reductions))
+    return None
+
+
+def _cofactors_by_degree_matrix(P: Presentation, f: Polynomial, d: int):
+    """Cofactors of f from the Macaulay matrix of every degree-d multiple
+    of every relation, or None when f is not in the ideal."""
     index, rows, labels = _degree_rows(P, d)
     A = IntMatrix.from_rows(rows, cols=len(index))
-    x = solve_in_row_lattice(A, _vector_of(f, index))
+    x = solve_in_row_lattice(A, _vector_of(f.terms, index))
     if x is None:
         return None
     cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in P.relations]
     for coeff, (gi, mono) in zip(x, labels):
         if coeff:
             cof_terms[gi][mono] = cof_terms[gi].get(mono, 0) + coeff
-    cofactors = [Polynomial(P.ring, t) for t in cof_terms]
-    return Certificate(P, f, cofactors)
+    return [Polynomial(P.ring, t) for t in cof_terms]
+
+
+def _cofactors_over_base(P: Presentation, B: _Bundle, f: Polynomial, d: int):
+    """Cofactors of f through the free Z[base]-module R/(g) with basis
+    1, x, ..., x^(k-1), or None when f is not in the ideal.
+
+    f = q_f*g + r_f, and f lies in the ideal exactly when r_f lies in the
+    Z[base]-span of the remainders r of x^i*h; in degree d that is a
+    lattice question over the x-free multipliers m of each remainder.
+    """
+    q_f, r_f = _divide(f.terms, B.x, B.k, B.sign, B.tail)
+    ring, x = P.ring, B.x
+    cols = _low_basis(ring, x, B.k, d)
+    index = {e: j for j, e in enumerate(cols)}
+    rows: list[list[int]] = []
+    labels = []
+    for hi, i, e, r, q in B.reductions:
+        if e > d:
+            continue
+        for m in _low_basis(ring, x, 1, d - e):
+            row = [0] * len(cols)
+            for re_, rc in r.items():
+                row[index[tuple(a + b for a, b in zip(m, re_))]] = rc
+            rows.append(row)
+            labels.append((hi, i, m, q))
+    A = IntMatrix.from_rows(rows, cols=len(cols))
+    y = solve_in_row_lattice(A, _vector_of(r_f, index))
+    if y is None:
+        return None
+    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in P.relations]
+    g_terms = cof_terms[B.gi] = q_f
+    for a, (hi, i, m, q) in zip(y, labels):
+        if not a:
+            continue
+        mono = m[:x] + (i,) + m[x + 1 :]
+        cof_terms[hi][mono] = cof_terms[hi].get(mono, 0) + a
+        for qe, qc in q.items():
+            t = tuple(u + v for u, v in zip(m, qe))
+            g_terms[t] = g_terms.get(t, 0) - a * qc
+    return [Polynomial(ring, t) for t in cof_terms]
+
+
+def contains(P: Presentation, f: Polynomial) -> Certificate | None:
+    """Membership of a homogeneous polynomial, with an explicit certificate
+    on success and None on refusal.
+
+    When a relation g is monic of degree k in a variable x, the quotient
+    by g is free over the ring of the other variables with basis
+    1, x, ..., x^(k-1) (the projective bundle formula: Fulton,
+    Intersection Theory, Thm 3.3(b)), and membership is decided in that
+    module.  Otherwise it is decided on the Macaulay matrix of all
+    degree-d multiples of the relations.
+    """
+    if f.ring != P.ring:
+        raise ValueError("ring mismatch")
+    if f.is_zero():
+        return Certificate(P, f, [Polynomial.zero(P.ring)] * len(P.relations))
+    d = f.weighted_degree()
+    B = _bundle(P)
+    if B is None:
+        cofactors = _cofactors_by_degree_matrix(P, f, d)
+    else:
+        cofactors = _cofactors_over_base(P, B, f, d)
+    return None if cofactors is None else Certificate(P, f, cofactors)
 
 
 @dataclass(frozen=True)

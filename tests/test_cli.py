@@ -209,6 +209,30 @@ class TestIdealEq:
         assert code == 2 and out == ""
         assert err.startswith("error: %s: " % latin1)
 
+    @pytest.mark.parametrize(
+        "a, b, code, expected",
+        [
+            ("ring: t:1\n1\n", "ring: t:1\nt^2\n1\n", 0, "equal"),
+            (
+                "ring: t:1, c1:1\nt^2 - c1*t\n2*t\n",
+                "ring: t:1, c1:1\nt^2 - c1*t\n4*t\n",
+                1,
+                "not equal: generator 2*t of the left ideal is not in the other",
+            ),
+            ("ring: c1:1, c2:2\nc2 - c1^2\n2*c1\n", "ring: c1:1, c2:2\nc2 - 3*c1^2\n2*c1\n2*c2\n", 0, "equal"),
+            (
+                "ring: c1:1, c2:2\nc2 - c1^2\n2*c1\n",
+                "ring: c1:1, c2:2\nc2\n2*c1\n",
+                1,
+                "not equal: generator -c1^2 + c2 of the left ideal is not in the other",
+            ),
+        ],
+    )
+    def test_monic_relation_edges(self, capsys, tmp_path, a, b, code, expected):
+        fa = self.write(tmp_path, "a.ideal", a)
+        fb = self.write(tmp_path, "b.ideal", b)
+        assert run(capsys, "ideal-eq", fa, fb)[:2] == (code, expected + "\n")
+
     def test_present_vs_derive_golden(self, capsys, tmp_path):
         _, present_out, _ = run(
             capsys, "present", "--theorem", "thm1.3", "--g", "4", "--n", "2"

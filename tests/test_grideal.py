@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chowforge import grideal
 from chowforge.grideal import (
     Presentation,
     contains,
@@ -316,3 +318,149 @@ def test_invariants_stable_under_equal_generators():
         base = quotient_graded_invariants(direct, d)
         for other in (derived, doubled, negated):
             assert quotient_graded_invariants(other, d) == base
+
+
+# ----------------------------------------------------------------------------
+# the projective bundle route against the degree-matrix oracle
+# ----------------------------------------------------------------------------
+
+WEIGHTED = ring_make([("x", 1), ("y", 1), ("z", 2), ("w", 2)])
+
+
+def oracle_member(P, f):
+    """Membership decided on the Macaulay matrix of every degree-d
+    multiple of every relation, the route taken when no relation is
+    monic."""
+    if f.is_zero():
+        return True
+    return grideal._cofactors_by_degree_matrix(P, f, f.weighted_degree()) is not None
+
+
+def _random_combination(rng, P, d):
+    f = Polynomial.zero(P.ring)
+    for g in P.relations:
+        e = g.weighted_degree()
+        if e <= d:
+            f = f + _random_homog(rng, P.ring, d - e, lo=-3, hi=3, density=0.6) * g
+    return f
+
+
+@st.composite
+def _monic_ideals(draw):
+    """A homogeneous ideal over WEIGHTED with one forced monic relation
+    sign*v^k + (terms of v-degree < k), placed among 0-3 other
+    generators, and a random seed for the members and non-members."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    v = draw(st.sampled_from(WEIGHTED.names))
+    k = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from((1, -1)))
+    D = k * WEIGHTED.weight_of(v)
+    x = WEIGHTED.index(v)
+    tail = _random_homog(rng, WEIGHTED, D, lo=-3, hi=3, density=0.5)
+    tail = Polynomial(WEIGHTED, {e: c for e, c in tail.terms.items() if e[x] < k})
+    g = sign * Polynomial.var(WEIGHTED, v) ** k + tail
+    others = []
+    for _ in range(draw(st.integers(0, 3))):
+        h = _random_homog(rng, WEIGHTED, rng.randint(0, 3), lo=-6, hi=6, density=0.5)
+        if h.terms:
+            others.append(h)
+    others.insert(draw(st.integers(0, len(others))), g)
+    return Presentation(WEIGHTED, others), rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_ideals())
+def test_bundle_route_matches_degree_matrix_oracle(case):
+    P, rng = case
+    assert grideal._bundle(P) is not None
+    for d in range(5):
+        for f in (_random_combination(rng, P, d), _random_homog(rng, P.ring, d)):
+            assert (contains(P, f) is not None) == oracle_member(P, f)
+
+
+def _lemma34_ideal(j):
+    """The ideal of the two torus pushforward classes over Z[xi, t1, t2]
+    and the product of the 2j+1 coordinate-hyperplane classes."""
+    R = ring_make([("xi", 1), ("t1", 1), ("t2", 1)])
+    xi, t1, t2 = (V(R, n) for n in R.names)
+    s = t1 + t2
+    g1 = 2 * (2 * j - 1) * xi - 2 * j * (2 * j - 1) * s
+    g2 = xi ** 2 - s * xi - 2 * j * (2 * j - 2) * (t1 * t2)
+    ptilde = Polynomial.const(R, 1)
+    for i in range(2 * j + 1):
+        ptilde = ptilde * (xi - i * t1 - (2 * j - i) * t2)
+    return Presentation(R, [g1, g2]), ptilde
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_lemma34_membership_matches_oracle(j):
+    P, ptilde = _lemma34_ideal(j)
+    t1 = V(P.ring, "t1")
+    for f in (ptilde, ptilde + t1 ** (2 * j + 1), 2 * ptilde, t1 ** (2 * j + 1)):
+        assert (contains(P, f) is not None) == oracle_member(P, f)
+    assert contains(P, ptilde) is not None
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product(range(1, 5), repeat=2)))
+def test_remark37_membership_matches_oracle(a, b):
+    from chowforge.catalog import _six_generator_ideal, classes_M, remark_37_class
+
+    P = _six_generator_ideal(a, b)
+    _, _, m2 = classes_M(a, b)
+    c1, c2 = V(P.ring, "c1"), V(P.ring, "c2")
+    for f in (m2, m2 - remark_37_class(a, b), c2, c1 ** 2, 2 * c1 * c2):
+        assert (contains(P, f) is not None) == oracle_member(P, f)
+
+
+def test_bundle_route_is_taken(monkeypatch):
+    from chowforge.catalog import remark_37_reduction
+
+    def refuse(*args):
+        raise AssertionError("membership built the degree matrix")
+
+    monkeypatch.setattr(grideal, "_degree_rows", refuse)
+    P, ptilde = _lemma34_ideal(20)
+    assert contains(P, ptilde) is not None
+    assert remark_37_reduction(8, 8) is not None
+
+
+class TestBundleEdges:
+    def test_unit_ideal_is_never_monic(self):
+        one = Polynomial.const(RING, 1)
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        unit = Presentation(RING, [one])
+        assert grideal._bundle(unit) is None
+        assert contains(unit, t * c1) is not None
+        P = Presentation(RING, [one, t ** 2 - c1 * t])
+        assert grideal._bundle(P).gi == 1
+        for f in (one, t, V(RING, "c2"), 3 * t ** 2 * c1):
+            cert = contains(P, f)
+            assert cert is not None and oracle_member(P, f)
+
+    def test_relation_monic_in_a_weight_two_variable(self):
+        R = ring_make([("c1", 1), ("c2", 2)])
+        c1, c2 = V(R, "c1"), V(R, "c2")
+        for g, var in ((c2 - c1 ** 2, "c1"), (c2 - 3 * c1 ** 2, "c2")):
+            P = Presentation(R, [g, 2 * c1])
+            assert grideal._bundle(P).x == R.index(var)
+            for f in (2 * c2, c2, c1 * c2, 2 * c1 * c2 + c1 ** 3, c2 ** 2):
+                assert (contains(P, f) is not None) == oracle_member(P, f)
+            assert contains(P, 2 * c2) is not None
+            assert contains(P, c2) is None
+
+    def test_member_below_the_monic_degree(self):
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        P = Presentation(RING, [t ** 2 - c1 * t, 2 * t])
+        cert = contains(P, 4 * t)
+        assert cert is not None
+        assert cert.cofactors == (Polynomial.zero(RING), Polynomial.const(RING, 2))
+        assert contains(P, c1) is None
+        assert contains(P, t) is None
+
+    def test_monic_relation_alone(self):
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        g = t ** 2 - c1 * t + V(RING, "c2")
+        P = Presentation(RING, [g])
+        cert = contains(P, (t + 3 * c1) * g)
+        assert cert.cofactors == (t + 3 * c1,)
+        assert contains(P, t ** 2) is None
