@@ -44,18 +44,7 @@ from .grideal import (
     ideal_degree_matrix,
     quotient_graded_invariants,
 )
-from .intpoly import (
-    NotHomogeneousError,
-    Polynomial,
-    RingSpec,
-    canonical_string,
-    poly_add,
-    poly_mul,
-    ring_make,
-    substitute,
-    variable,
-    weighted_degree,
-)
+from .intpoly import NotHomogeneousError, Polynomial, RingSpec, ring_make
 from .polyparse import ParseError, format_ideal_file, parse_ideal_file, parse_poly
 from .zlinalg import AbelianInvariants, IntMatrix, hnf, snf, solve_in_row_lattice
 

@@ -14,7 +14,9 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import operator
 import re
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -22,13 +24,6 @@ __all__ = [
     "Polynomial",
     "NotHomogeneousError",
     "ring_make",
-    "variable",
-    "constant",
-    "poly_add",
-    "poly_mul",
-    "weighted_degree",
-    "substitute",
-    "canonical_string",
 ]
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -126,7 +121,7 @@ class RingSpec:
         return self.weights[self.index(name)]
 
     def exponent_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
 
     def with_var(self, name: str, weight: int) -> "RingSpec":
         """Ring extended by a fresh variable, inserted at its canonical
@@ -167,12 +162,37 @@ def _monomial_string(ring: RingSpec, exps: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
+def _add_product(acc: dict, a: Mapping, b: Mapping) -> None:
+    """Add the product of the term maps a and b into acc, which may be
+    left holding zero coefficients."""
+    get = acc.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _nonzero(acc: dict) -> dict:
+    return {e: c for e, c in acc.items() if c}
+
+
+def _product(a: Mapping, b: Mapping) -> dict:
+    acc: dict = {}
+    _add_product(acc, a, b)
+    return _nonzero(acc)
+
+
 class Polynomial:
     """Immutable sparse polynomial over a RingSpec.
 
     Terms map exponent tuples (one entry per registry variable) to
     nonzero integer coefficients.  Two polynomials are equal iff they
     have equal rings and identical term maps.
+
+    The constructor validates its input: every coefficient must be an
+    integer (a bool becomes an int, anything else raises TypeError) and
+    every exponent vector must fit the ring.  Results of arithmetic on
+    polynomials are built by `_trusted` and are not checked again.
     """
 
     __slots__ = ("ring", "terms", "_hash")
@@ -181,6 +201,7 @@ class Polynomial:
         nvars = len(ring)
         clean = {}
         for exps, coeff in terms.items():
+            coeff = operator.index(coeff)
             if coeff == 0:
                 continue
             exps = tuple(exps)
@@ -193,13 +214,43 @@ class Polynomial:
 
     # -- constructors -------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, ring: RingSpec, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """A polynomial that takes ownership of `terms` without checking it.
+
+        Only for a term map just built by arithmetic on validated
+        polynomials of `ring`: fresh, free of zero coefficients, with
+        exponent tuples of the ring's length.  Never for a dict that
+        anything else holds or may change.
+        """
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._hash = None
+        return p
+
     @staticmethod
     def zero(ring: RingSpec) -> "Polynomial":
-        return Polynomial(ring, {})
+        return Polynomial._trusted(ring, {})
 
     @staticmethod
     def const(ring: RingSpec, c: int) -> "Polynomial":
-        return Polynomial(ring, {(0,) * len(ring): c})
+        c = operator.index(c)
+        return Polynomial._trusted(ring, {(0,) * len(ring): c} if c else {})
+
+    @staticmethod
+    def sum_of_products(
+        ring: RingSpec, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
+    ) -> "Polynomial":
+        """The sum of p*q over the pairs (p, q), accumulated in one term
+        map.  Every factor must live in `ring`."""
+        acc: dict[tuple[int, ...], int] = {}
+        for p, q in pairs:
+            for f in (p, q):
+                if f.ring != ring:
+                    raise ValueError("ring mismatch: %r vs %r" % (f.ring, ring))
+            _add_product(acc, p.terms, q.terms)
+        return Polynomial._trusted(ring, _nonzero(acc))
 
     @staticmethod
     def var(ring: RingSpec, name: str) -> "Polynomial":
@@ -245,6 +296,11 @@ class Polynomial:
         """
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
+        degrees = set(map(self.ring.exponent_degree, self.terms))
+        if len(degrees) == 1:
+            return degrees.pop()
+        # mixed degrees: the witnesses are the largest term and the first
+        # term of another degree, in canonical order
         it = iter(self.sorted_terms())
         exps0, _ = next(it)
         d0 = self.ring.exponent_degree(exps0)
@@ -276,12 +332,12 @@ class Polynomial:
                 terms[exps] = c
             else:
                 terms.pop(exps, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -296,16 +352,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(e, 0) + c1 * c2
-                if c:
-                    terms[e] = c
-                else:
-                    terms.pop(e, None)
-        return Polynomial(self.ring, terms)
+        return Polynomial._trusted(self.ring, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -398,50 +445,23 @@ class Polynomial:
         if missing:
             raise ValueError("missing image for: %s" % ", ".join(sorted(missing)))
 
-        # cache powers of each image as needed
-        powers: dict[str, list[Polynomial]] = {}
+        # term maps of the powers of each image, built as needed; each
+        # term of the result is accumulated into one dict
+        unit = (0,) * len(target)
+        one = {unit: 1}
+        powers: dict[str, list[dict]] = {}
 
-        def image_power(name: str, k: int) -> Polynomial:
-            cache = powers.setdefault(name, [Polynomial.const(target, 1)])
+        def image_power(name: str, k: int) -> dict:
+            cache = powers.setdefault(name, [one])
             while len(cache) <= k:
-                cache.append(cache[-1] * images[name])
+                cache.append(_product(cache[-1], images[name].terms))
             return cache[k]
 
-        result = Polynomial.zero(target)
+        acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
-            term = Polynomial.const(target, coeff)
-            for name, e in zip(self.ring.names, exps):
-                if e:
-                    term = term * image_power(name, e)
-            result = result + term
-        return result
-
-
-def variable(ring: RingSpec, name: str) -> Polynomial:
-    return Polynomial.var(ring, name)
-
-
-def constant(ring: RingSpec, c: int) -> Polynomial:
-    return Polynomial.const(ring, c)
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def weighted_degree(p: Polynomial) -> int:
-    return p.weighted_degree()
-
-
-def substitute(
-    p: Polynomial, images: Mapping[str, Polynomial], target: RingSpec | None = None
-) -> Polynomial:
-    return p.substitute(images, target)
-
-
-def canonical_string(p: Polynomial) -> str:
-    return p.canonical()
+            factors = [image_power(n, e) for n, e in zip(self.ring.names, exps) if e]
+            term = {unit: coeff}
+            for f in factors[:-1]:
+                term = _product(term, f)
+            _add_product(acc, term, factors[-1] if factors else one)
+        return Polynomial._trusted(target, _nonzero(acc))

@@ -13,6 +13,7 @@ entries from exploding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
@@ -28,17 +29,23 @@ __all__ = [
 
 
 class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers, row-major."""
+    """Immutable dense matrix of arbitrary-precision integers, row-major.
 
-    __slots__ = ("rows", "cols", "entries")
+    Entries must be integers: a bool becomes an int, and a float or a
+    string raises TypeError rather than being truncated.  `hnf` keeps its
+    result on the matrix, so each matrix is eliminated at most once.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_hnf")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(map(operator.index, row)) for row in entries)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("entry count does not match %dx%d" % (rows, cols))
         self.rows = rows
         self.cols = cols
         self.entries = data
+        self._hnf = None
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -209,6 +216,7 @@ class _LoggedTransform(IntMatrix):
         self.rows = self.cols = n
         self._ops = ops
         self._dense = None
+        self._hnf = None
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -242,12 +250,15 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     is canonical for the row lattice of A, so lattice equality is string
     equality of HNFs.  U is kept as the log of the row operations:
     `U.row_mul` replays it on one vector, and `U.entries` is built from
-    it on first read.
+    it on first read.  The pair is kept on A, so a later call on the same
+    matrix returns the same (H, U) without eliminating again.
     """
-    H = [list(row) for row in A.entries]
-    ops: list[tuple[int, int, int]] = []
-    _echelon(H, A.cols, ops)
-    return IntMatrix(A.rows, A.cols, H), _LoggedTransform(A.rows, ops)
+    if A._hnf is None:
+        H = [list(row) for row in A.entries]
+        ops: list[tuple[int, int, int]] = []
+        _echelon(H, A.cols, ops)
+        A._hnf = (IntMatrix(A.rows, A.cols, H), _LoggedTransform(A.rows, ops))
+    return A._hnf
 
 
 class SNFResult(NamedTuple):
@@ -301,7 +312,7 @@ def solve_in_row_lattice(A: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | No
     """Integer coefficients x with x.A = v, or None when v is not in the
     row lattice of A.  Any returned certificate has been re-verified by
     exact re-multiplication."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(operator.index, v))
     if len(v) != A.cols:
         raise ValueError("vector length %d does not match %d columns" % (len(v), A.cols))
     H, U = hnf(A)

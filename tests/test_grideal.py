@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowforge import grideal
 from chowforge.grideal import (
+    Certificate,
     Presentation,
     contains,
     eliminate_linear,
@@ -22,6 +23,19 @@ RING = ring_make([("t", 1), ("c1", 1), ("c2", 2)])
 
 def V(ring, name):
     return Polynomial.var(ring, name)
+
+
+def clear_caches():
+    grideal._macaulay_piece.cache_clear()
+    grideal._module_piece.cache_clear()
+    grideal._bundle.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Each test starts with empty piece caches, so a test that checks
+    which route or kernel runs sees it run rather than a cached piece."""
+    clear_caches()
 
 
 class TestPresentation:
@@ -119,6 +133,97 @@ class TestContains:
         P = Presentation(RING, [2 * V(RING, "t")])
         with pytest.raises(NotHomogeneousError):
             contains(P, V(RING, "t") + V(RING, "c2"))
+
+
+class TestCertificate:
+    def setup_method(self):
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        self.P = Presentation(RING, [2 * t, t ** 2 - c1 * t])
+        self.f = 2 * t * c1 + 3 * (t ** 2 - c1 * t)
+
+    def test_right_cofactors_accepted(self):
+        cert = Certificate(self.P, self.f, [V(RING, "c1"), Polynomial.const(RING, 3)])
+        assert str(cert) == "(c1)*(2*t) + (3)*(t^2 - t*c1)"
+
+    def test_wrong_cofactors_refused(self):
+        for cofactors in (
+            [V(RING, "c1"), Polynomial.const(RING, 2)],
+            [V(RING, "t"), Polynomial.const(RING, 3)],
+            [Polynomial.zero(RING)] * 2,
+        ):
+            with pytest.raises(AssertionError, match="certificate failed polynomial re-verification"):
+                Certificate(self.P, self.f, cofactors)
+
+    def test_cofactor_over_another_ring_refused(self):
+        other = ring_make([("t", 1), ("c1", 1)])
+        with pytest.raises(ValueError, match="ring mismatch"):
+            Certificate(self.P, self.f, [V(other, "c1"), Polynomial.const(RING, 3)])
+        with pytest.raises(ValueError, match="ring mismatch"):
+            Certificate(self.P, self.f, [V(RING, "c1"), Polynomial.const(other, 3)])
+
+    def test_one_cofactor_per_generator(self):
+        with pytest.raises(ValueError, match="one cofactor per generator"):
+            Certificate(self.P, self.f, [V(RING, "c1")])
+
+
+def _certificate_key(cert):
+    return [h.canonical() for h in cert.cofactors]
+
+
+class TestPieceCache:
+    def _cases(self):
+        """(presentation, member, non-member) on each route: the Lemma 3.4
+        ideal (a monic relation) and, in two degrees, an ideal with none."""
+        t, c1, c2 = (V(RING, n) for n in RING.names)
+        P34, ptilde = _lemma34_ideal(3)
+        yield P34, ptilde, V(P34.ring, "t1") ** 7
+        Q = Presentation(RING, [2 * t, 4 * c2 - 3 * c1 ** 2, 3 * t * c1])
+        assert grideal._bundle(P34) is not None and grideal._bundle(Q) is None
+        yield Q, 2 * t * c1 * c2 + 3 * (4 * c2 - 3 * c1 ** 2) * c1 * t, c1 ** 4
+        yield Q, 2 * (4 * c2 - 3 * c1 ** 2) - 6 * t * c1, c1 ** 2
+
+    def test_cold_and_warm_agree(self):
+        cases = list(self._cases())
+        cold = []
+        for P, f, g in cases:
+            clear_caches()
+            cold.append((_certificate_key(contains(P, f)), contains(P, g)))
+        warm = [(_certificate_key(contains(P, f)), contains(P, g)) for P, f, g in cases]
+        assert cold == warm
+        assert all(non is None for _, non in cold)
+
+    def test_a_piece_is_built_once(self, monkeypatch):
+        P, ptilde = _lemma34_ideal(4)
+        built = []
+        original = grideal._low_basis
+
+        def counting(ring, x, below, d):
+            built.append((below, d))
+            return original(ring, x, below, d)
+
+        monkeypatch.setattr(grideal, "_low_basis", counting)
+        certs = [contains(P, ptilde) for _ in range(3)]
+        assert built.count((grideal._bundle(P).k, 9)) == 1
+        assert len({str(c) for c in certs}) == 1
+
+    def test_eviction_keeps_answers(self):
+        ideals = [_lemma34_ideal(j) for j in range(1, 4)]
+        t1 = V(ideals[0][0].ring, "t1")
+        t, c1, c2 = (V(RING, n) for n in RING.names)
+        # more distinct presentations than the cache holds, on both routes
+        ks = range(2, 3 + grideal._PIECES)
+        extra = [Presentation(RING, [k * t, c2 - c1 ** 2 + k * t * c1]) for k in ks]
+        extra += [Presentation(RING, [k * t, 4 * c2 - 3 * c1 ** 2]) for k in ks]
+        assert grideal._bundle(extra[0]) is not None and grideal._bundle(extra[-1]) is None
+        first = [_certificate_key(contains(P, f)) for P, f in ideals]
+        for Q in extra:
+            for g in Q.relations:
+                assert contains(Q, g) is not None
+            assert contains(Q, c1 ** 2 * c2) is None
+        assert [_certificate_key(contains(P, f)) for P, f in ideals] == first
+        assert all(contains(P, t1 ** (2 * j + 1)) is None for j, (P, _) in enumerate(ideals, 1))
+        assert grideal._module_piece.cache_info().currsize <= grideal._PIECES
+        assert grideal._macaulay_piece.cache_info().currsize <= grideal._PIECES
 
 
 class TestIdealEqual:

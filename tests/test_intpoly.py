@@ -1,17 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowforge.intpoly import (
-    NotHomogeneousError,
-    Polynomial,
-    canonical_string,
-    poly_add,
-    poly_mul,
-    ring_make,
-    substitute,
-    variable,
-    weighted_degree,
-)
+from chowforge.intpoly import NotHomogeneousError, Polynomial, ring_make
 
 
 def V(ring, name):
@@ -63,33 +53,33 @@ TORUS = ring_make([("xi", 1), ("t1", 1), ("t2", 1)])
 class TestArithmetic:
     def test_additive_inverse(self):
         t = V(RING, "t")
-        assert poly_add(2 * t, -2 * t).is_zero()
+        assert (2 * t + -2 * t).is_zero()
 
     def test_cancellation(self):
         c1, c2, xi = (V(XRING, n) for n in ("c1", "c2", "xi"))
-        assert poly_add(xi ** 2 - c1 * xi, c1 * xi + c2) == xi ** 2 + c2
+        assert (xi ** 2 - c1 * xi) + (c1 * xi + c2) == xi ** 2 + c2
 
     def test_disjoint_supports(self):
         c1, c2 = V(RING, "c1"), V(RING, "c2")
-        s = poly_add(4 * c2, -(c1 ** 2))
+        s = 4 * c2 + -(c1 ** 2)
         assert s == 4 * c2 - c1 ** 2
         assert len(s.terms) == 2
 
     def test_binomial_expansion(self):
         xi, t1, t2 = (V(TORUS, n) for n in ("xi", "t1", "t2"))
-        assert poly_mul(xi - t1, xi - t2) == xi ** 2 - (t1 + t2) * xi + t1 * t2
+        assert (xi - t1) * (xi - t2) == xi ** 2 - (t1 + t2) * xi + t1 * t2
 
     def test_multiplicative_identity(self):
         p = 3 * V(RING, "t") ** 2 - V(RING, "c2")
-        assert poly_mul(p, Polynomial.const(RING, 1)) == p
+        assert p * Polynomial.const(RING, 1) == p
 
     def test_difference_of_squares(self):
         c1, xi = V(XRING, "c1"), V(XRING, "xi")
-        assert poly_mul(2 * xi - 2 * c1, 2 * xi + 2 * c1) == 4 * xi ** 2 - 4 * c1 ** 2
+        assert (2 * xi - 2 * c1) * (2 * xi + 2 * c1) == 4 * xi ** 2 - 4 * c1 ** 2
 
     def test_ring_mismatch(self):
         with pytest.raises(ValueError, match="ring mismatch"):
-            poly_add(V(RING, "t"), V(XRING, "xi"))
+            V(RING, "t") + V(XRING, "xi")
 
 
 class TestWeightedDegree:
@@ -97,12 +87,12 @@ class TestWeightedDegree:
         # xi2a*xi2b - 4ab*c2 at a = b = 1 is homogeneous of degree 2
         R = ring_make([("c1", 1), ("c2", 2), ("xi2a", 1), ("xi2b", 1)])
         p = V(R, "xi2a") * V(R, "xi2b") - 4 * V(R, "c2")
-        assert weighted_degree(p) == 2
+        assert p.weighted_degree() == 2
 
     def test_mixed_degrees_report_witnesses(self):
         p = V(RING, "t") + V(RING, "c2")
         with pytest.raises(NotHomogeneousError) as err:
-            weighted_degree(p)
+            p.weighted_degree()
         degrees = {err.value.witness_a[1], err.value.witness_b[1]}
         assert degrees == {1, 2}
 
@@ -110,14 +100,65 @@ class TestWeightedDegree:
         n = 3
         p = 2 * (2 * n - 1) * V(RING, "t")
         assert p == 10 * V(RING, "t")
-        assert weighted_degree(p) == 1
+        assert p.weighted_degree() == 1
 
     def test_zero_degree_undefined(self):
         with pytest.raises(ValueError, match="zero"):
-            weighted_degree(Polynomial.zero(RING))
+            Polynomial.zero(RING).weighted_degree()
 
     def test_zero_counts_as_homogeneous(self):
         assert Polynomial.zero(RING).is_homogeneous()
+
+    @pytest.mark.parametrize(
+        "build, message, witnesses",
+        [
+            (
+                lambda t, c1, c2: t + c2,
+                "term c2 has degree 2, term t has degree 1",
+                (((0, 0, 1), 2), ((1, 0, 0), 1)),
+            ),
+            (
+                lambda t, c1, c2: t ** 3 + c2 + t * c1 - 7,
+                "term t^3 has degree 3, term t*c1 has degree 2",
+                (((3, 0, 0), 3), ((1, 1, 0), 2)),
+            ),
+            (
+                lambda t, c1, c2: 3 * c1 * c2 - t ** 3 + 2 * c2,
+                "term t^3 has degree 3, term c2 has degree 2",
+                (((3, 0, 0), 3), ((0, 0, 1), 2)),
+            ),
+        ],
+    )
+    def test_witnesses_are_frozen(self, build, message, witnesses):
+        # the largest term and the first term of another degree, in
+        # canonical order, whatever the order of the term map
+        p = build(*(V(RING, n) for n in RING.names))
+        with pytest.raises(NotHomogeneousError) as err:
+            p.weighted_degree()
+        assert str(err.value) == "not homogeneous: " + message
+        assert (err.value.witness_a, err.value.witness_b) == witnesses
+
+
+class TestValidation:
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial(RING, {(1, 0, 0): 1.5})
+        with pytest.raises(TypeError):
+            Polynomial(RING, {(1, 0, 0): "2"})
+        with pytest.raises(TypeError):
+            Polynomial.const(RING, 2.0)
+
+    def test_bool_coefficient_becomes_int(self):
+        p = Polynomial(RING, {(1, 0, 0): True, (0, 1, 0): False})
+        assert p.terms == {(1, 0, 0): 1}
+        assert type(p.terms[(1, 0, 0)]) is int
+        assert p == V(RING, "t")
+
+    def test_bad_exponent_vector_rejected(self):
+        with pytest.raises(ValueError, match="bad exponent"):
+            Polynomial(RING, {(1, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent"):
+            Polynomial(RING, {(1, -1, 0): 1})
 
 
 class TestSubstitute:
@@ -127,12 +168,12 @@ class TestSubstitute:
         p = 2 * xi - 2 * c1
         images = {n: V(XRING, n) for n in ("c1", "c2")}
         images["xi"] = xi - c1
-        assert substitute(p, images) == 2 * xi - 4 * c1
+        assert p.substitute(images) == 2 * xi - 4 * c1
 
     def test_identity_map(self):
         p = V(XRING, "xi") ** 2 - V(XRING, "c1") * V(XRING, "xi") + V(XRING, "c2")
         images = {n: V(XRING, n) for n in XRING.names}
-        assert substitute(p, images) == p
+        assert p.substitute(images) == p
 
     def test_torsor_substitution(self):
         # xi -> n*c1 - t at n = 2 sends 2(2n-1)*xi - 2n(2n-1)*c1 to -6t
@@ -142,51 +183,51 @@ class TestSubstitute:
         p = 2 * (2 * n - 1) * xi - 2 * n * (2 * n - 1) * c1
         images = {m: V(src, m) for m in ("t", "c1", "c2")}
         images["xi"] = n * c1 - t
-        assert substitute(p, images) == -6 * t
+        assert p.substitute(images) == -6 * t
 
     def test_missing_image(self):
         with pytest.raises(ValueError, match="missing image"):
-            substitute(V(RING, "t"), {})
+            V(RING, "t").substitute({})
 
     def test_degree_violating_image(self):
         images = {"t": V(RING, "c2")}
         with pytest.raises(ValueError, match="degree"):
-            substitute(V(RING, "t"), images)
+            V(RING, "t").substitute(images)
 
     def test_zero_image_allowed(self):
         # needed at degenerate parameters, e.g. xi -> (n-1)*c1 at n = 1
         images = {"t": Polynomial.zero(RING), "c1": V(RING, "c1")}
-        assert substitute(V(RING, "t") * V(RING, "c1"), images).is_zero()
+        assert (V(RING, "t") * V(RING, "c1")).substitute(images).is_zero()
 
 
 class TestCanonicalString:
     def test_interface_contract_example(self):
         t, c1, c2 = (V(RING, n) for n in RING.names)
-        assert canonical_string(-2 * t * c1 + 4 * c2) == "-2*t*c1 + 4*c2"
+        assert (-2 * t * c1 + 4 * c2).canonical() == "-2*t*c1 + 4*c2"
 
     def test_zero(self):
-        assert canonical_string(Polynomial.zero(RING)) == "0"
+        assert Polynomial.zero(RING).canonical() == "0"
 
     def test_unit_coefficients_elided(self):
         t, c1 = V(RING, "t"), V(RING, "c1")
-        assert canonical_string(t - c1) == "t - c1"
+        assert (t - c1).canonical() == "t - c1"
 
     def test_constants_and_powers(self):
         t = V(RING, "t")
-        assert canonical_string(Polynomial.const(RING, -7)) == "-7"
-        assert canonical_string(t ** 3 + 5) == "t^3 + 5"
+        assert Polynomial.const(RING, -7).canonical() == "-7"
+        assert (t ** 3 + 5).canonical() == "t^3 + 5"
 
     def test_graded_lex_order(self):
         t, c1, c2 = (V(RING, n) for n in RING.names)
         p = c2 + c1 ** 2 + t * c1 + t ** 2
-        assert canonical_string(p) == "t^2 + t*c1 + c1^2 + c2"
+        assert p.canonical() == "t^2 + t*c1 + c1^2 + c2"
         # higher weighted degree comes first
-        assert canonical_string(c2 + t) == "c2 + t"
+        assert (c2 + t).canonical() == "c2 + t"
 
     def test_injectivity_on_samples(self):
         t, c1, c2 = (V(RING, n) for n in RING.names)
         samples = [t, -t, 2 * t, c1, c2, t * c1, t + c1, t - c1, t ** 2, c2 - t ** 2]
-        strings = {canonical_string(p) for p in samples}
+        strings = {p.canonical() for p in samples}
         assert len(strings) == len(samples)
 
 
@@ -245,3 +286,27 @@ def test_substitute_is_graded_homomorphism(data):
     assert (p + q).substitute(images, target) == sp + sq
     if p.terms and sp.terms:
         assert sp.weighted_degree() == p.weighted_degree()
+
+
+def _assert_well_formed(p, ring):
+    """p equals its validated rebuild, holds no zero coefficient and has
+    exponent tuples of the ring's length."""
+    assert p.ring == ring
+    assert p == Polynomial(ring, dict(p.terms))
+    assert all(p.terms.values())
+    assert all(len(e) == len(ring) for e in p.terms)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_polys, _polys, st.integers(-5, 5), st.integers(0, 3))
+def test_arithmetic_results_are_well_formed(p, q, c, k):
+    for r in (p + q, p - q, -p, p * q, p ** k, c * p, p + c, c - p, p - p, p * 0):
+        _assert_well_formed(r, RING)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_homog_pair_with_images())
+def test_substitute_results_are_well_formed(data):
+    p, q, images, target = data
+    _assert_well_formed(p.substitute(images, target), target)
+    _assert_well_formed((p * q - q).substitute(images, target), target)

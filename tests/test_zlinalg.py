@@ -150,6 +150,36 @@ class TestSolve:
         assert solve_in_row_lattice(A, (0, 0)) == ()
         assert solve_in_row_lattice(A, (1, 0)) is None
 
+    def test_non_integer_vector_rejected(self):
+        # 2.9 must not be truncated to 2 and certified as a member of 2Z
+        with pytest.raises(TypeError):
+            solve_in_row_lattice(mat([[2]]), [2.9])
+        with pytest.raises(TypeError):
+            solve_in_row_lattice(mat([[2]]), ["2"])
+        assert solve_in_row_lattice(mat([[1]]), [True]) == (1,)
+
+    def test_repeated_solves_reuse_one_hnf(self):
+        A = mat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        first = hnf(A)
+        assert hnf(A) is first
+        for v in ((2, 4, 4), (0, 36, 48), (1, 0, 0)):
+            x = solve_in_row_lattice(A, v)
+            assert x is None or A.row_mul(x) == v
+        assert hnf(A) is first
+
+
+class TestIntMatrix:
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1.7, 2]])
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, [["3"]])
+
+    def test_bool_entries_become_ints(self):
+        A = IntMatrix.from_rows([[True, False, 2]])
+        assert A.entries == ((1, 0, 2),)
+        assert all(type(x) is int for x in A.entries[0])
+
 
 class TestAbelianInvariants:
     def test_chain_validated(self):
