@@ -274,11 +274,6 @@ class Polynomial:
                     names.add(name)
         return names
 
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of a single variable (0 for the zero polynomial)."""
-        i = self.ring.index(name)
-        return max((exps[i] for exps in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         key = lambda item: _term_sort_key(self.ring, item[0])
         return sorted(self.terms.items(), key=key, reverse=True)

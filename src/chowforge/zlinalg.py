@@ -2,13 +2,18 @@
 
 Row-style Hermite normal form with a unimodular transform, Smith
 invariants, and lattice membership with re-verified certificates.  One
-elimination loop serves both normal forms.  The transform U of `hnf` is
-kept as the log of its row operations (the product form of Dantzig and
-Orchard-Hays, 1954): a certificate x = y.U replays the log on the one
-vector y, and the dense U is built from the log only on first read of
-its entries.  Everything is plain Python ints, so results are exact at
-any size; pivoting by minimal absolute value keeps the intermediate
-entries from exploding.
+elimination loop serves both normal forms.  Its rows are dense lists, but
+a step touches only the rows that are nonzero in the pivot column and, in
+each, only the columns where the pivot row is nonzero: the Macaulay
+matrices of `grideal` are a few percent dense.  The pivots and the order
+of the row operations are those of the dense loop, which is kept as the
+test oracle `tests/dense_hnf.py`, so the results are the same.  The
+transform U of `hnf` is kept as the log of its row operations (the
+product form of Dantzig and Orchard-Hays, 1954): a certificate x = y.U
+replays the log on the one vector y, and the dense U is built from the
+log only on first read of its entries.  Everything is plain Python ints,
+so results are exact at any size; pivoting by minimal absolute value
+keeps the intermediate entries from exploding.
 """
 
 from __future__ import annotations
@@ -78,16 +83,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in ot]
-            for row in self.entries
-        ]
-        return IntMatrix(self.rows, other.cols, out)
-
     def row_mul(self, x: Sequence[int]) -> tuple[int, ...]:
         """Vector-matrix product x . self for a row vector x."""
         if len(x) != self.rows:
@@ -148,55 +143,77 @@ def _echelon(H: list[list[int]], cols: int, ops: list[tuple[int, int, int]] | No
     appended to it as one tuple: (i, r, q) for row i -= q.row r, (r, p, 0)
     for a swap of rows r and p, and (r, r, 0) for a negation of row r.
     Applied in order to the identity, the log gives the U with U.A = H;
-    no dense transform is built here."""
+    no dense transform is built here.
+
+    A step touches only nonzeros.  Column c collects once the rows at or
+    below r that are nonzero in it.  The pivot is chosen among them, and
+    each gcd pass reduces only them and keeps those still nonzero in c: a
+    row that is zero in c never changes in c.  The pivot row's nonzero
+    entries from c on are listed once per pivot row as (j, a) pairs, and
+    a reduced row is updated only there; the back-reduction above the
+    pivot builds that list only if some row needs it.  The operations and
+    their order are those of the dense loop (the first row of least
+    nonzero |entry| is the pivot, q is the floor quotient, rows are
+    reduced in increasing order), so H and the log are the same as
+    there."""
     n = len(H)
     r = 0
     for c in range(cols):
-        # gcd out the column below row r, keeping the smallest pivot
+        rows = [i for i in range(r, n) if H[i][c]]
+        if not rows:
+            continue
+        piv = None  # the nonzero (j, a) of H[r] from column c on
         while True:
-            pivot = -1
-            best = 0
-            for i in range(r, n):
-                v = H[i][c]
-                if v and (pivot < 0 or abs(v) < best):
-                    pivot, best = i, abs(v)
-            if pivot < 0:
-                break
+            pivot = rows[0]
+            best = abs(H[pivot][c])
+            for i in rows:
+                v = abs(H[i][c])
+                if v < best:
+                    pivot, best = i, v
             if pivot != r:
                 H[r], H[pivot] = H[pivot], H[r]
                 if ops is not None:
                     ops.append((r, pivot, 0))
+                if rows[0] != r:
+                    # the old row r, zero in c, moved down to the pivot's index
+                    rows.remove(pivot)
+                    rows.insert(0, r)
+                piv = None
+            if len(rows) == 1:
+                break
             hr = H[r]
             p = hr[c]
-            done = True
-            for i in range(r + 1, n):
-                v = H[i][c]
-                if v:
-                    q = v // p
-                    if q:
-                        hi = H[i]
-                        for j in range(c, cols):
-                            hi[j] -= q * hr[j]
-                        if ops is not None:
-                            ops.append((i, r, q))
-                    if H[i][c]:
-                        done = False
-            if done:
+            if piv is None:
+                piv = [(j, a) for j, a in enumerate(hr[c:], c) if a]
+            left = [r]
+            for i in rows[1:]:
+                hi = H[i]
+                q = hi[c] // p
+                if q:
+                    for j, a in piv:
+                        hi[j] -= q * a
+                    if ops is not None:
+                        ops.append((i, r, q))
+                if hi[c]:
+                    left.append(i)
+            if len(left) == 1:
                 break
-        if pivot < 0:
-            continue
-        if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
+            rows = left
+        hr = H[r]
+        if hr[c] < 0:
+            hr = H[r] = [-x for x in hr]
             if ops is not None:
                 ops.append((r, r, 0))
-        hr = H[r]
+            piv = None
         p = hr[c]
         for i in range(r):
-            q = H[i][c] // p
+            hi = H[i]
+            q = hi[c] // p
             if q:
-                hi = H[i]
-                for j in range(c, cols):
-                    hi[j] -= q * hr[j]
+                if piv is None:
+                    piv = [(j, a) for j, a in enumerate(hr[c:], c) if a]
+                for j, a in piv:
+                    hi[j] -= q * a
                 if ops is not None:
                     ops.append((i, r, q))
         r += 1

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from chowforge.cli import main
 from chowforge.grideal import Presentation, ideal_equal
 from chowforge.polyparse import parse_ideal_file
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -170,6 +173,16 @@ class TestGraded:
             for d in range(5)
         )
         assert direct == expected
+
+    @pytest.mark.parametrize("theorem, g, n", [("thm1.3", 8, 3), ("thm1.9", 21, 5)])
+    def test_frozen_to_degree_30(self, capsys, theorem, g, n):
+        # thm1.9 has no monic relation, so every piece is a Macaulay matrix
+        # (1620x256 at degree 30); the tables are frozen from the dense kernel
+        code, out, _ = run(
+            capsys, "graded", "--theorem", theorem, "--g", str(g), "--n", str(n), "--deg-max", "30"
+        )
+        assert code == 0
+        assert out == (DATA / ("graded-%s-g%d-n%d-d30.txt" % (theorem, g, n))).read_text()
 
 
 class TestIdealEq:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowforge import zlinalg
-from chowforge.catalog import lemma_3_4_check
+from chowforge.catalog import lemma_3_4_check, thm_1_3_presentation, thm_1_9_presentation
 from chowforge.grideal import ideal_degree_matrix, monomial_basis
 from chowforge.zlinalg import (
     AbelianInvariants,
@@ -44,6 +44,11 @@ def naive_mul(A, B):
     ]
 
 
+def matmul(A, B):
+    """The product A.B of two IntMatrix."""
+    return IntMatrix(A.rows, B.cols, naive_mul(A.entries, B.entries))
+
+
 class TestHNF:
     def test_identity_fixed(self):
         I = IntMatrix.identity(4)
@@ -55,7 +60,7 @@ class TestHNF:
         A = mat([[2, 0], [8, -6], [4, 2]])
         H, U = hnf(A)
         assert [list(r) for r in H.entries] == [[2, 0], [0, 2], [0, 0]]
-        assert U.mul(A) == H
+        assert matmul(U, A) == H
         assert abs(det([list(r) for r in U.entries])) == 1
 
     def test_zero_row(self):
@@ -76,7 +81,7 @@ class TestHNF:
             r, c = rng.randint(1, 5), rng.randint(1, 5)
             A = mat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
             H, U = hnf(A)
-            assert U.mul(A) == H
+            assert matmul(U, A) == H
             H2, _ = hnf(H)
             assert H2 == H
             # mutual membership of generator rows
@@ -107,7 +112,7 @@ class TestSNF:
             res = snf(A)
             assert [res.d.entries[i][i] for i in range(len(want))] == want
             oracle = dense_snf(A)
-            assert oracle.u.mul(A).mul(oracle.v) == oracle.d == res.d
+            assert matmul(matmul(oracle.u, A), oracle.v) == oracle.d == res.d
 
     def test_identity(self):
         res = snf(IntMatrix.identity(2))
@@ -121,7 +126,7 @@ class TestSNF:
     def test_transforms(self):
         A = mat([[6, 4, 2], [2, 8, 0]])
         oracle = dense_snf(A)
-        assert oracle.u.mul(A).mul(oracle.v) == oracle.d == snf(A).d
+        assert matmul(matmul(oracle.u, A), oracle.v) == oracle.d == snf(A).d
         assert abs(det([list(r) for r in oracle.u.entries])) == 1
         assert abs(det([list(r) for r in oracle.v.entries])) == 1
 
@@ -204,7 +209,7 @@ def test_unimodularity_up_to_8x8():
         oracle = dense_snf(A)
         assert abs(det([list(r) for r in oracle.u.entries])) == 1
         assert abs(det([list(r) for r in oracle.v.entries])) == 1
-        assert oracle.u.mul(A).mul(oracle.v) == oracle.d == snf(A).d
+        assert matmul(matmul(oracle.u, A), oracle.v) == oracle.d == snf(A).d
 
 
 _mats = st.integers(1, 6).flatmap(
@@ -355,3 +360,83 @@ def test_membership_never_builds_dense_u(monkeypatch):
     monkeypatch.setattr(zlinalg._LoggedTransform, "entries", property(refuse))
     x = solve_in_row_lattice(A, v)
     assert x is not None and x == dense_solve_in_row_lattice(A, v)
+
+
+# Up to 40x40 and 2-30% dense, the shapes of the Macaulay matrices: the
+# entries are mostly the small coefficients of the relations, with an
+# occasional large one.
+@st.composite
+def _sparse_mats(draw):
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.integers(2, 30)) / 100
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if rng.random() < 0.03:
+            return rng.randint(-10**12, 10**12)
+        return rng.choice((1, -1, 2, -2, 3, 4, 6))
+
+    return [[entry() if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_mats(), st.randoms(use_true_random=False))
+def test_sparse_matches_dense_oracles(rows, rng):
+    A = mat(rows)
+    ys = [[rng.choice((0, 0, 1, -1, 3)) for _ in range(A.rows)] for _ in range(2)]
+    members = [A.row_mul(y) for y in ys]
+    others = [[rng.randint(-2, 2) for _ in range(A.cols)]]
+    _assert_matches_dense_oracle(A, ys, members + others)
+    assert snf(A).d == dense_snf(A).d
+
+
+# Each case drives one branch of the sparse column step.
+_EDGE_CASES = {
+    # row r is zero in column c while lower rows are not: the pivot moves
+    # up to r and the old row r goes down to the pivot's index
+    "row-r-zero-in-c": [[0, 1, 2, 0], [0, 3, 0, 1], [4, 0, 1, 0], [6, 2, 0, 5], [0, 0, 7, 0]],
+    "row-r-zero-after-a-pivot": [[1, 2, 0], [0, 0, 5], [0, 4, 1], [0, 6, 0]],
+    # ties in |pivot|: the first of them wins, which fixes U when the
+    # rows are dependent
+    "tie-in-pivot": [[0, 1, 1], [2, 1, 0], [-2, 3, 1], [2, 0, 5], [2, 1, 0]],
+    "negative-pivot": [[-3, 1, 2], [6, -5, 0], [-9, 4, 1]],
+    "negative-least-pivot": [[4, 1], [-2, 3], [6, 0]],
+    "zero-column-first": [[0, 2, 1], [0, 4, 3], [0, -6, 5]],
+    "zero-column-inside": [[2, 0, 1], [4, 0, 3], [6, 0, 7]],
+    "repeated-rows": [[1, 2, 0], [1, 2, 0], [0, 0, 3], [1, 2, 0], [0, 0, 3]],
+    "repeated-rows-no-unit": [[2, 4, 6], [2, 4, 6], [4, 2, 0], [2, 4, 6]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+def test_edge_cases_match_dense_oracles(name):
+    A = mat(_EDGE_CASES[name])
+    ys = [[(i * 7) % 5 - 2 for i in range(A.rows)], [1] * A.rows]
+    vs = [A.row_mul(y) for y in ys] + [[1] + [0] * (A.cols - 1)]
+    _assert_matches_dense_oracle(A, ys, vs)
+    assert snf(A).d == dense_snf(A).d
+
+
+def test_tie_goes_to_the_first_row():
+    # column 0 holds 2, -2, 2 below an empty row 0: the pivot is row 1, so
+    # the first row of H is built from row 1 (and row 0, which clears its
+    # entry in column 1); the last of the tied rows, [2, 0], would give
+    # e_3 instead
+    H, U = hnf(mat([[0, 1], [2, 1], [-2, 3], [2, 0]]))
+    assert [list(r) for r in H.entries] == [[2, 0], [0, 1], [0, 0], [0, 0]]
+    assert U.row_mul([1, 0, 0, 0]) == (-1, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [thm_1_3_presentation(8, 3), thm_1_9_presentation(9, 3)],
+    ids=["thm1.3-8-3", "thm1.9-9-3"],
+)
+@pytest.mark.parametrize("d", range(6, 13))
+def test_degree_matrices_match_dense_oracles(presentation, d):
+    A = ideal_degree_matrix(presentation, d)
+    rng = random.Random(d)
+    y = [rng.choice((0, 0, 0, 1, -1)) for _ in range(A.rows)]
+    v = [rng.randint(-3, 3) for _ in range(A.cols)]
+    _assert_matches_dense_oracle(A, [y], [A.row_mul(y), v])
+    assert snf(A).d == dense_snf(A).d
