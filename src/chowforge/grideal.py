@@ -4,14 +4,15 @@ No Groebner bases: every ideal handled here is homogeneous with
 bounded-degree generators, so membership, containment and equality
 reduce to finite lattice questions, one weighted degree at a time.
 
-When a relation g is monic of degree k in one variable x, the projective
-bundle formula (Fulton, Intersection Theory, Thm 3.3(b) and Ex. 8.3.4)
-makes the quotient by g a free module over the ring of the other
-variables, with basis 1, x, ..., x^(k-1).  Membership is then decided
-in that module, whose degree-d piece is far smaller than the Macaulay
-matrix of all degree-d multiples of the relations.  The Macaulay matrix
-is the route when no relation is monic, and for the graded invariants
-of the quotient.
+Membership is decided over a bundle.  When a relation g is monic of
+degree k in one variable x, the projective bundle formula (Fulton,
+Intersection Theory, Thm 3.3(b) and Ex. 8.3.4) makes the quotient by g a
+free module over the ring of the other variables, with basis
+1, x, ..., x^(k-1), whose degree-d piece is far smaller than the
+Macaulay matrix of all degree-d multiples of the relations.  With no
+monic relation the bundle is trivial: the ring is free over itself with
+basis {1}, and the same lattice builder gives the Macaulay matrix, which
+is also the matrix of the graded invariants of the quotient.
 
 Each degree piece that membership asks about is built as a lattice once
 and kept in a small LRU cache keyed by (presentation, degree), and its
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache, partial
+from operator import add
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .intpoly import Polynomial, RingSpec
 from .zlinalg import AbelianInvariants, IntMatrix, snf, solve_in_row_lattice
@@ -117,37 +119,6 @@ def _vector_of(terms, index: dict[tuple[int, ...], int]) -> list[int]:
     return v
 
 
-def _degree_rows(P: Presentation, d: int):
-    """Rows spanning the degree-d piece of the ideal over the monomial
-    index of degree d, with (generator, multiplier exponent) labels for
-    certificate reassembly."""
-    basis = _monomial_basis_cached(P.ring, d)
-    index = {e: i for i, e in enumerate(basis)}
-    rows: list[list[int]] = []
-    labels: list[tuple[int, tuple[int, ...]]] = []
-    for gi, g in enumerate(P.relations):
-        e = g.weighted_degree()
-        if e > d:
-            continue
-        for mono in _monomial_basis_cached(P.ring, d - e):
-            row = [0] * len(basis)
-            for gexps, gcoeff in g.terms.items():
-                prod = tuple(a + b for a, b in zip(mono, gexps))
-                row[index[prod]] = gcoeff
-            rows.append(row)
-            labels.append((gi, mono))
-    return index, rows, labels
-
-
-def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
-    """Coefficient matrix of all degree-d multiples m*g_i of the generators,
-    over monomial_basis(d)."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    index, rows, _ = _degree_rows(P, d)
-    return IntMatrix.from_rows(rows, cols=len(index))
-
-
 class Certificate:
     """Explicit cofactors h_i with sum(h_i * g_i) = f, verified exactly."""
 
@@ -192,9 +163,21 @@ def _low_basis(ring: RingSpec, x: int, below: int, d: int) -> tuple[tuple[int, .
     return tuple(e for e in _monomial_basis_cached(ring, d) if e[x] < below)
 
 
-def _divide(terms, x: int, k: int, sign: int, tail) -> tuple[dict, dict]:
-    """Division by g = sign*x^k + tail, where tail has x-degree < k:
-    the terms of q and r with p = q*g + r and r of x-degree < k."""
+class _Monic(NamedTuple):
+    """The relation g = sign*x^k + tail of index gi, where tail has
+    x-degree < k."""
+
+    gi: int
+    x: int
+    k: int
+    sign: int
+    tail: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _divide(terms, g: _Monic) -> tuple[dict, dict]:
+    """Division by g: the terms of q and r with p = q*g + r and r of
+    x-degree < k."""
+    x, k, sign = g.x, g.k, g.sign
     buckets: dict[int, dict[tuple[int, ...], int]] = {}
     for exps, c in terms.items():
         buckets.setdefault(exps[x], {})[exps] = c
@@ -206,7 +189,7 @@ def _divide(terms, x: int, k: int, sign: int, tail) -> tuple[dict, dict]:
             qe = exps[:x] + (e - k,) + exps[x + 1 :]
             qc = sign * c
             quo[qe] = qc
-            for te, tc in tail:
+            for te, tc in g.tail:
                 t = tuple(a + b for a, b in zip(qe, te))
                 b = buckets.setdefault(t[x], {})
                 b[t] = b.get(t, 0) - qc * tc
@@ -215,26 +198,43 @@ def _divide(terms, x: int, k: int, sign: int, tail) -> tuple[dict, dict]:
 
 
 class _Bundle(NamedTuple):
-    """A relation g = sign*x^k + tail of P, monic in the variable x, and
-    for each other relation h and each i < k the division
-    x^i*h = q*g + r, as (h index, i, degree of x^i*h, r terms, q terms)."""
+    """The quotient R/(g) of the ring R of P as a free module over the
+    ring of the other variables, with basis 1, x, ..., x^(k-1), for a
+    relation g of P monic in x (the projective bundle formula).  With no
+    monic relation it is the trivial bundle: g is None and R is free over
+    itself with basis {1}.
 
-    gi: int
-    x: int
-    k: int
-    sign: int
-    tail: tuple[tuple[tuple[int, ...], int], ...]
-    reductions: tuple
+    `columns(d)` are the monomials of degree d of R/(g) and
+    `multipliers(d)` those of the base ring; on the trivial bundle both
+    are all monomials of degree d.  Each span is (relation index h, shift
+    x^i as an exponent vector, degree of x^i*h, r terms, q terms) with
+    x^i*h = q*g + r; the spans of the trivial bundle are the relations
+    themselves, with shift 1 and q = 0.  The image of the ideal in R/(g)
+    is the span of the m*r over the multipliers m."""
+
+    g: _Monic | None
+    columns: Callable[[int], tuple[tuple[int, ...], ...]]
+    multipliers: Callable[[int], tuple[tuple[int, ...], ...]]
+    spans: tuple
+
+
+def _trivial_bundle(P: Presentation) -> _Bundle:
+    basis = partial(_monomial_basis_cached, P.ring)
+    one = (0,) * len(P.ring)
+    spans = tuple((hi, one, h.weighted_degree(), h.terms, {}) for hi, h in enumerate(P.relations))
+    return _Bundle(None, basis, basis, spans)
 
 
 @lru_cache(maxsize=16)
-def _bundle(P: Presentation) -> _Bundle | None:
-    """The first relation of positive degree, in relation order, that is
-    monic in a variable, the first such variable in ring order; None when
-    no relation is.  Monic means a pure power x^k with coefficient +-1 and
-    k*weight(x) = deg g, so by homogeneity no other term of g reaches
-    x-degree k.  The cache is small: `ideal_equal` asks about two
-    presentations at a time, and a `verify` grid holds hundreds."""
+def _bundle(P: Presentation) -> _Bundle:
+    """The bundle of the first relation g of positive degree, in relation
+    order, that is monic in a variable x, the first such variable in ring
+    order; the trivial bundle when no relation is.  Monic means a pure
+    power x^k with coefficient +-1 and k*weight(x) = deg g, so by
+    homogeneity no other term of g reaches x-degree k.  The spans are the
+    nonzero remainders of x^i*h for each other relation h and i < k.  The
+    cache is small: `ideal_equal` asks about two presentations at a time,
+    and a `verify` grid holds hundreds."""
     ring = P.ring
     degrees = [ring.exponent_degree(next(iter(g.terms))) for g in P.relations]
     for gi, (g, D) in enumerate(zip(P.relations, degrees)):
@@ -247,34 +247,65 @@ def _bundle(P: Presentation) -> _Bundle | None:
                 break
         else:
             continue
-        sign = g.terms[pure]
         tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
-        reductions = []
+        monic = _Monic(gi, x, k, g.terms[pure], tail)
+        spans = []
         for hi, h in enumerate(P.relations):
             if hi == gi:
                 continue
             for i in range(k):
-                shifted = {
-                    ex[:x] + (ex[x] + i,) + ex[x + 1 :]: c for ex, c in h.terms.items()
-                }
-                q, r = _divide(shifted, x, k, sign, tail)
+                shift = pure[:x] + (i,) + pure[x + 1 :]
+                shifted = {tuple(map(add, ex, shift)): c for ex, c in h.terms.items()}
+                q, r = _divide(shifted, monic)
                 if r:
-                    reductions.append((hi, i, degrees[hi] + i * w, r, q))
-        return _Bundle(gi, x, k, sign, tail, tuple(reductions))
-    return None
+                    spans.append((hi, shift, degrees[hi] + i * w, r, q))
+        return _Bundle(
+            monic, partial(_low_basis, ring, x, k), partial(_low_basis, ring, x, 1), tuple(spans)
+        )
+    return _trivial_bundle(P)
 
 
 class _Piece(NamedTuple):
     """The degree-d piece of an ideal as a lattice: the matrix whose rows
-    span it, the index of its columns, and one label per row for
-    reassembling cofactors."""
+    span it, the index of its columns, and one label (span, multiplier)
+    per row for reassembling cofactors."""
 
     A: IntMatrix
     index: dict[tuple[int, ...], int]
     labels: list
 
 
-# Pieces kept per route.  `ideal_equal` asks about the generators of one
+def _lattice(B: _Bundle, d: int) -> _Piece:
+    """The rows m*r for each span r of B and each multiplier m of degree
+    d - deg r, over the columns of B in degree d.  Over the trivial
+    bundle this is the Macaulay matrix of every degree-d multiple of
+    every relation."""
+    cols = B.columns(d)
+    index = {e: j for j, e in enumerate(cols)}
+    rows: list[list[int]] = []
+    labels = []
+    for span in B.spans:
+        _, _, e, r, _ = span
+        if e > d:
+            continue
+        for m in B.multipliers(d - e):
+            row = [0] * len(cols)
+            for re_, rc in r.items():
+                row[index[tuple(map(add, m, re_))]] = rc
+            rows.append(row)
+            labels.append((span, m))
+    return _Piece(IntMatrix.from_rows(rows, cols=len(cols)), index, labels)
+
+
+def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
+    """Coefficient matrix of all degree-d multiples m*g_i of the generators,
+    over monomial_basis(d)."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    return _lattice(_trivial_bundle(P), d).A
+
+
+# Pieces kept.  `ideal_equal` asks about the generators of one
 # presentation in turn, so the repeats of a piece come close together: at
 # the default `verify` grid 8 entries miss no more often than 32 (713
 # builds for 649 distinct pieces, against 2135 without the cache) and
@@ -283,87 +314,23 @@ _PIECES = 8
 
 
 @lru_cache(maxsize=_PIECES)
-def _macaulay_piece(P: Presentation, d: int) -> _Piece:
-    """The Macaulay matrix of every degree-d multiple of every relation,
-    labelled (relation index, multiplier exponent)."""
-    index, rows, labels = _degree_rows(P, d)
-    return _Piece(IntMatrix.from_rows(rows, cols=len(index)), index, labels)
-
-
-def _cofactors_by_degree_matrix(P: Presentation, f: Polynomial, d: int):
-    """Cofactors of f from the Macaulay matrix of every degree-d multiple
-    of every relation, or None when f is not in the ideal."""
-    A, index, labels = _macaulay_piece(P, d)
-    x = solve_in_row_lattice(A, _vector_of(f.terms, index))
-    if x is None:
-        return None
-    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in P.relations]
-    for coeff, (gi, mono) in zip(x, labels):
-        if coeff:
-            cof_terms[gi][mono] = cof_terms[gi].get(mono, 0) + coeff
-    return [Polynomial(P.ring, t) for t in cof_terms]
-
-
-@lru_cache(maxsize=_PIECES)
-def _module_piece(P: Presentation, d: int) -> _Piece:
-    """The degree-d piece of the Z[base]-span of the remainders r of x^i*h
-    of `_bundle(P)`: the rows m*r for the x-free monomials m, over the
-    monomials of x-degree below k, labelled (h index, i, m, q)."""
-    B = _bundle(P)
-    ring, x = P.ring, B.x
-    cols = _low_basis(ring, x, B.k, d)
-    index = {e: j for j, e in enumerate(cols)}
-    rows: list[list[int]] = []
-    labels = []
-    for hi, i, e, r, q in B.reductions:
-        if e > d:
-            continue
-        for m in _low_basis(ring, x, 1, d - e):
-            row = [0] * len(cols)
-            for re_, rc in r.items():
-                row[index[tuple(a + b for a, b in zip(m, re_))]] = rc
-            rows.append(row)
-            labels.append((hi, i, m, q))
-    return _Piece(IntMatrix.from_rows(rows, cols=len(cols)), index, labels)
-
-
-def _cofactors_over_base(P: Presentation, B: _Bundle, f: Polynomial, d: int):
-    """Cofactors of f through the free Z[base]-module R/(g) with basis
-    1, x, ..., x^(k-1), or None when f is not in the ideal.
-
-    f = q_f*g + r_f, and f lies in the ideal exactly when r_f lies in the
-    Z[base]-span of the remainders r of x^i*h; in degree d that is a
-    lattice question over the x-free multipliers m of each remainder.
-    """
-    q_f, r_f = _divide(f.terms, B.x, B.k, B.sign, B.tail)
-    ring, x = P.ring, B.x
-    A, index, labels = _module_piece(P, d)
-    y = solve_in_row_lattice(A, _vector_of(r_f, index))
-    if y is None:
-        return None
-    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in P.relations]
-    g_terms = cof_terms[B.gi] = q_f
-    for a, (hi, i, m, q) in zip(y, labels):
-        if not a:
-            continue
-        mono = m[:x] + (i,) + m[x + 1 :]
-        cof_terms[hi][mono] = cof_terms[hi].get(mono, 0) + a
-        for qe, qc in q.items():
-            t = tuple(u + v for u, v in zip(m, qe))
-            g_terms[t] = g_terms.get(t, 0) - a * qc
-    return [Polynomial(ring, t) for t in cof_terms]
+def _piece(P: Presentation, d: int) -> _Piece:
+    return _lattice(_bundle(P), d)
 
 
 def contains(P: Presentation, f: Polynomial) -> Certificate | None:
     """Membership of a homogeneous polynomial, with an explicit certificate
     on success and None on refusal.
 
-    When a relation g is monic of degree k in a variable x, the quotient
-    by g is free over the ring of the other variables with basis
+    Membership is decided in R/(g) over the base ring of `_bundle(P)`.
+    When a relation g is monic of degree k in a variable x, that quotient
+    is free over the ring of the other variables with basis
     1, x, ..., x^(k-1) (the projective bundle formula: Fulton,
-    Intersection Theory, Thm 3.3(b)), and membership is decided in that
-    module.  Otherwise it is decided on the Macaulay matrix of all
-    degree-d multiples of the relations.
+    Intersection Theory, Thm 3.3(b)).  f = q_f*g + r_f, and f lies in the
+    ideal exactly when r_f lies in the span of the remainders r of x^i*h.
+    With no monic relation the bundle is trivial, q_f = 0 and r_f = f,
+    and the piece is the Macaulay matrix of all degree-d multiples of the
+    relations.
     """
     if f.ring != P.ring:
         raise ValueError("ring mismatch")
@@ -371,11 +338,26 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
         return Certificate(P, f, [Polynomial.zero(P.ring)] * len(P.relations))
     d = f.weighted_degree()
     B = _bundle(P)
-    if B is None:
-        cofactors = _cofactors_by_degree_matrix(P, f, d)
+    if B.g is None:
+        q_f, r_f = {}, f.terms
     else:
-        cofactors = _cofactors_over_base(P, B, f, d)
-    return None if cofactors is None else Certificate(P, f, cofactors)
+        q_f, r_f = _divide(f.terms, B.g)
+    A, index, labels = _piece(P, d)
+    y = solve_in_row_lattice(A, _vector_of(r_f, index))
+    if y is None:
+        return None
+    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in P.relations]
+    for a, ((hi, shift, _, _, q), m) in zip(y, labels):
+        if not a:
+            continue
+        mono = tuple(map(add, m, shift))
+        cof_terms[hi][mono] = cof_terms[hi].get(mono, 0) + a
+        for qe, qc in q.items():
+            t = tuple(map(add, m, qe))
+            q_f[t] = q_f.get(t, 0) - a * qc
+    if B.g is not None:
+        cof_terms[B.g.gi] = q_f
+    return Certificate(P, f, [Polynomial(P.ring, t) for t in cof_terms])
 
 
 @dataclass(frozen=True)
@@ -436,4 +418,4 @@ def eliminate_linear(P: Presentation, v: str, h: Polynomial) -> Presentation:
 
 def quotient_graded_invariants(P: Presentation, d: int) -> AbelianInvariants:
     """Abelian invariants of the degree-d piece of the quotient ring."""
-    return snf(ideal_degree_matrix(P, d)).invariants
+    return snf(ideal_degree_matrix(P, d))

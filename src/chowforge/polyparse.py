@@ -58,16 +58,16 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("int", src[i:j], i))
             i = j
             continue
         if "a" <= ch <= "z":
             j = i
-            while j < n and (src[j].isdigit() or src[j] == "_" or "a" <= src[j] <= "z"):
+            while j < n and ("0" <= src[j] <= "9" or src[j] == "_" or "a" <= src[j] <= "z"):
                 j += 1
             tokens.append(("ident", src[i:j], i))
             i = j
@@ -173,7 +173,8 @@ def _parse_ring_header(body: str, lineno: int, offset: int) -> RingSpec:
         name, sep, weight = chunk.partition(":")
         name = name.strip()
         weight = weight.strip()
-        if not sep or not weight.lstrip("-").isdigit():
+        digits = weight.lstrip("-")
+        if not sep or not (digits.isascii() and digits.isdigit()):
             raise ParseError(
                 "ring header entries must be name:weight, got %r" % chunk,
                 offset,

@@ -21,12 +21,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "IntMatrix",
     "AbelianInvariants",
-    "SNFResult",
     "hnf",
     "snf",
     "solve_in_row_lattice",
@@ -54,7 +53,6 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
         if cols is None:
             if not rows:
                 raise ValueError("cannot infer column count of an empty matrix")
@@ -79,9 +77,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.entries])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def row_mul(self, x: Sequence[int]) -> tuple[int, ...]:
         """Vector-matrix product x . self for a row vector x."""
@@ -278,17 +273,11 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return A._hnf
 
 
-class SNFResult(NamedTuple):
-    d: IntMatrix
-    invariants: AbelianInvariants
-
-
-def snf(A: IntMatrix) -> SNFResult:
-    """Smith normal form D of A, without transforms.
-
-    The diagonal of D is non-negative and satisfies d1 | d2 | ..., with
-    zeros last; the reported invariants are those of the cokernel
-    Z^cols / rowlattice(A).
+def snf(A: IntMatrix) -> AbelianInvariants:
+    """The invariants of the cokernel Z^cols / rowlattice(A), from the
+    Smith normal form of A, built without transforms.  They and A.cols
+    determine the Smith diagonal d1 | d2 | ...: cols - free_rank nonzero
+    entries, the torsion preceded by ones.
 
     The elimination alternates Hermite forms of the rows and of the
     columns (Kannan and Bachem, SIAM J. Comput. 8(4), 1979): each pass
@@ -316,13 +305,7 @@ def snf(A: IntMatrix) -> SNFResult:
         for j in range(i + 1, rank):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] // g * diag[j]
-    d = [[0] * A.cols for _ in range(A.rows)]
-    for i, x in enumerate(diag):
-        d[i][i] = x
-    invariants = AbelianInvariants(
-        free_rank=A.cols - rank, torsion=tuple(x for x in diag if x >= 2)
-    )
-    return SNFResult(IntMatrix(A.rows, A.cols, d), invariants)
+    return AbelianInvariants(free_rank=A.cols - rank, torsion=tuple(x for x in diag if x >= 2))
 
 
 def solve_in_row_lattice(A: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:

@@ -223,6 +223,19 @@ class TestIdealEq:
         assert err.startswith("error: %s: " % latin1)
 
     @pytest.mark.parametrize(
+        "text",
+        ["ring: t:1\nt*\u00b2\n", "ring: t:1\n\u0663*t\n", "ring: t:\u0663\n2*t\n"],
+        ids=["superscript", "arabic-indic-literal", "arabic-indic-weight"],
+    )
+    def test_non_ascii_digit_exit_2(self, capsys, tmp_path, text):
+        # a parse error, not a traceback or a silent reading as an ASCII digit
+        a = self.write(tmp_path, "a.ideal", text)
+        b = self.write(tmp_path, "b.ideal", "ring: t:1\n2*t\n")
+        code, out, err = run(capsys, "ideal-eq", a, b)
+        assert code == 2 and out == ""
+        assert err.startswith("error: %s: line " % a)
+
+    @pytest.mark.parametrize(
         "a, b, code, expected",
         [
             ("ring: t:1\n1\n", "ring: t:1\nt^2\n1\n", 0, "equal"),
@@ -402,6 +415,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--external", str(broken))
         assert code == 2
         assert err.startswith("error: %s: line 2" % broken)
+
+        for text in ("ring: t:1\nt^\u00b2\n", "ring: t:1\n\u0663*t\n", "ring: t:\u0663\n2*t\n"):
+            odd = tmp_path / "digits.ideal"
+            odd.write_text(text, encoding="utf-8")
+            code, out, err = run(capsys, "verify", "--external", str(odd))
+            assert code == 2 and out == ""
+            assert err.startswith("error: %s: line " % odd)
 
         missing = str(tmp_path / "missing.ideal")
         assert run(capsys, "verify", "--external", missing)[0] == 2

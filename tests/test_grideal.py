@@ -16,7 +16,7 @@ from chowforge.grideal import (
     quotient_graded_invariants,
 )
 from chowforge.intpoly import NotHomogeneousError, Polynomial, ring_make
-from chowforge.zlinalg import AbelianInvariants
+from chowforge.zlinalg import AbelianInvariants, IntMatrix, solve_in_row_lattice
 
 RING = ring_make([("t", 1), ("c1", 1), ("c2", 2)])
 
@@ -26,14 +26,13 @@ def V(ring, name):
 
 
 def clear_caches():
-    grideal._macaulay_piece.cache_clear()
-    grideal._module_piece.cache_clear()
+    grideal._piece.cache_clear()
     grideal._bundle.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with empty piece caches, so a test that checks
+    """Each test starts with an empty piece cache, so a test that checks
     which route or kernel runs sees it run rather than a cached piece."""
     clear_caches()
 
@@ -178,7 +177,7 @@ class TestPieceCache:
         P34, ptilde = _lemma34_ideal(3)
         yield P34, ptilde, V(P34.ring, "t1") ** 7
         Q = Presentation(RING, [2 * t, 4 * c2 - 3 * c1 ** 2, 3 * t * c1])
-        assert grideal._bundle(P34) is not None and grideal._bundle(Q) is None
+        assert grideal._bundle(P34).g is not None and grideal._bundle(Q).g is None
         yield Q, 2 * t * c1 * c2 + 3 * (4 * c2 - 3 * c1 ** 2) * c1 * t, c1 ** 4
         yield Q, 2 * (4 * c2 - 3 * c1 ** 2) - 6 * t * c1, c1 ** 2
 
@@ -203,7 +202,7 @@ class TestPieceCache:
 
         monkeypatch.setattr(grideal, "_low_basis", counting)
         certs = [contains(P, ptilde) for _ in range(3)]
-        assert built.count((grideal._bundle(P).k, 9)) == 1
+        assert built.count((grideal._bundle(P).g.k, 9)) == 1
         assert len({str(c) for c in certs}) == 1
 
     def test_eviction_keeps_answers(self):
@@ -214,7 +213,7 @@ class TestPieceCache:
         ks = range(2, 3 + grideal._PIECES)
         extra = [Presentation(RING, [k * t, c2 - c1 ** 2 + k * t * c1]) for k in ks]
         extra += [Presentation(RING, [k * t, 4 * c2 - 3 * c1 ** 2]) for k in ks]
-        assert grideal._bundle(extra[0]) is not None and grideal._bundle(extra[-1]) is None
+        assert grideal._bundle(extra[0]).g is not None and grideal._bundle(extra[-1]).g is None
         first = [_certificate_key(contains(P, f)) for P, f in ideals]
         for Q in extra:
             for g in Q.relations:
@@ -222,8 +221,7 @@ class TestPieceCache:
             assert contains(Q, c1 ** 2 * c2) is None
         assert [_certificate_key(contains(P, f)) for P, f in ideals] == first
         assert all(contains(P, t1 ** (2 * j + 1)) is None for j, (P, _) in enumerate(ideals, 1))
-        assert grideal._module_piece.cache_info().currsize <= grideal._PIECES
-        assert grideal._macaulay_piece.cache_info().currsize <= grideal._PIECES
+        assert grideal._piece.cache_info().currsize <= grideal._PIECES
 
 
 class TestIdealEqual:
@@ -434,11 +432,22 @@ WEIGHTED = ring_make([("x", 1), ("y", 1), ("z", 2), ("w", 2)])
 
 def oracle_member(P, f):
     """Membership decided on the Macaulay matrix of every degree-d
-    multiple of every relation, the route taken when no relation is
-    monic."""
+    multiple of every relation, built here from the products m*g and
+    solved in its row lattice, so it shares no code with the lattice
+    builder of `grideal`."""
     if f.is_zero():
         return True
-    return grideal._cofactors_by_degree_matrix(P, f, f.weighted_degree()) is not None
+    d = f.weighted_degree()
+    cols = monomial_basis(P.ring, d)
+    rows = []
+    for g in P.relations:
+        e = g.weighted_degree()
+        if e <= d:
+            for m in monomial_basis(P.ring, d - e):
+                p = Polynomial(P.ring, {m: 1}) * g
+                rows.append([p.terms.get(c, 0) for c in cols])
+    A = IntMatrix.from_rows(rows, cols=len(cols))
+    return solve_in_row_lattice(A, [f.terms.get(c, 0) for c in cols]) is not None
 
 
 def _random_combination(rng, P, d):
@@ -477,7 +486,7 @@ def _monic_ideals(draw):
 @given(_monic_ideals())
 def test_bundle_route_matches_degree_matrix_oracle(case):
     P, rng = case
-    assert grideal._bundle(P) is not None
+    assert grideal._bundle(P).g is not None
     for d in range(5):
         for f in (_random_combination(rng, P, d), _random_homog(rng, P.ring, d)):
             assert (contains(P, f) is not None) == oracle_member(P, f)
@@ -520,10 +529,14 @@ def test_remark37_membership_matches_oracle(a, b):
 def test_bundle_route_is_taken(monkeypatch):
     from chowforge.catalog import remark_37_reduction
 
-    def refuse(*args):
-        raise AssertionError("membership built the degree matrix")
+    built = grideal._lattice
 
-    monkeypatch.setattr(grideal, "_degree_rows", refuse)
+    def refuse_trivial(B, d):
+        if B.g is None:
+            raise AssertionError("membership built the Macaulay matrix")
+        return built(B, d)
+
+    monkeypatch.setattr(grideal, "_lattice", refuse_trivial)
     P, ptilde = _lemma34_ideal(20)
     assert contains(P, ptilde) is not None
     assert remark_37_reduction(8, 8) is not None
@@ -534,10 +547,10 @@ class TestBundleEdges:
         one = Polynomial.const(RING, 1)
         t, c1 = V(RING, "t"), V(RING, "c1")
         unit = Presentation(RING, [one])
-        assert grideal._bundle(unit) is None
+        assert grideal._bundle(unit).g is None
         assert contains(unit, t * c1) is not None
         P = Presentation(RING, [one, t ** 2 - c1 * t])
-        assert grideal._bundle(P).gi == 1
+        assert grideal._bundle(P).g.gi == 1
         for f in (one, t, V(RING, "c2"), 3 * t ** 2 * c1):
             cert = contains(P, f)
             assert cert is not None and oracle_member(P, f)
@@ -547,7 +560,7 @@ class TestBundleEdges:
         c1, c2 = V(R, "c1"), V(R, "c2")
         for g, var in ((c2 - c1 ** 2, "c1"), (c2 - 3 * c1 ** 2, "c2")):
             P = Presentation(R, [g, 2 * c1])
-            assert grideal._bundle(P).x == R.index(var)
+            assert grideal._bundle(P).g.x == R.index(var)
             for f in (2 * c2, c2, c1 * c2, 2 * c1 * c2 + c1 ** 3, c2 ** 2):
                 assert (contains(P, f) is not None) == oracle_member(P, f)
             assert contains(P, 2 * c2) is not None

@@ -67,6 +67,18 @@ class TestParsePoly:
         with pytest.raises(ParseError, match="trailing"):
             parse_poly("t t", RING)
 
+    @pytest.mark.parametrize(
+        "src, pos",
+        [("t*\u00b2", 2), ("t^\u00b2", 2), ("\u0663*t", 0), ("t\u00b2", 1), ("c1\u0663", 2), ("2\u0663", 1)],
+        ids=["superscript-factor", "superscript-exponent", "arabic-indic-literal",
+             "superscript-ident-tail", "arabic-indic-ident-tail", "arabic-indic-literal-tail"],
+    )
+    def test_only_ascii_digits(self, src, pos):
+        # str.isdigit() is true for these; each is a lexical error at its offset
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_poly(src, RING)
+        assert err.value.pos == pos
+
 
 class TestIdealFile:
     def test_two_line_file(self):
@@ -102,6 +114,10 @@ class TestIdealFile:
             parse_ideal_file("ring: t\n")
         with pytest.raises(ParseError):
             parse_ideal_file("ring: t:0\n2*t\n")
+        for weight in ("\u0663", "\u00b2", "-\u0663"):
+            with pytest.raises(ParseError, match="name:weight") as err:
+                parse_ideal_file("ring: t:%s\n2*t\n" % weight)
+            assert err.value.line == 1
 
     def test_format_round_trip(self):
         rels = [
