@@ -264,11 +264,15 @@ class DerivationResult:
     steps: tuple[tuple[str, Presentation], ...]
 
 
+@lru_cache(maxsize=1)
 def _derive(g: int, n: int, class1_coeffs, class2_coeffs) -> DerivationResult:
     """Common pipeline: the seven-relation product presentation at
     (a, b) = (n, g+1-n), a free degree-1 generator t, then two torsor
     quotients.  classK_coeffs gives (xi coefficient name, t coefficient,
-    c1 coefficient) for the two torsor classes."""
+    c1 coefficient) for the two torsor classes.
+
+    The last derivation is kept: `verify` runs the checks of one (g, n)
+    back to back, and two of them derive the same presentation."""
     a, b = n, g + 1 - n
     steps = []
     P = thm_1_2_presentation(a, b)

@@ -268,21 +268,22 @@ _CHECKS = {
 }
 
 
-def _grid_tasks(suite: str, g_max: int, ab_max: int) -> list[tuple[str, Params]]:
+def _grid_batches(suite: str, g_max: int, ab_max: int) -> list[list[tuple[str, Params]]]:
+    """The (check id, params) tasks of a suite, one batch per grid point.
+    The checks of a batch run back to back in one process, so that they
+    share its derivation and its degree pieces."""
     grids = {
         None: [Params()],
         "ab": [Params(a=a, b=b) for a in range(1, ab_max + 1) for b in range(1, ab_max + 1)],
     }
     for name, (_, _, pairs) in _PIPELINES.items():
         grids[name] = [Params(g=g, n=n) for g, n in getattr(catalog, pairs)(g_max)]
-    tasks = [
-        (check_id, p)
-        for check_id, (check_suite, grid, _) in _CHECKS.items()
-        if suite in ("all", check_suite)
-        for p in grids[grid]
-    ]
-    tasks.sort(key=lambda t: (t[0], t[1].sort_key()))
-    return tasks
+    batches: dict[Params, list[tuple[str, Params]]] = {}
+    for check_id, (check_suite, grid, _) in _CHECKS.items():
+        if suite in ("all", check_suite):
+            for p in grids[grid]:
+                batches.setdefault(p, []).append((check_id, p))
+    return list(batches.values())
 
 
 def _run_task(task: tuple[str, Params]) -> CheckReport:
@@ -292,6 +293,10 @@ def _run_task(task: tuple[str, Params]) -> CheckReport:
     except Exception as exc:  # a crash is not a mathematical verdict
         return CheckReport(check_id, params, "error", "error: %s" % exc)
     return CheckReport(check_id, params, "pass" if ok else "fail", witness)
+
+
+def _run_batch(batch: list[tuple[str, Params]]) -> list[CheckReport]:
+    return [_run_task(t) for t in batch]
 
 
 def _external_reports(path: str) -> list[CheckReport]:
@@ -337,13 +342,17 @@ def _cmd_verify(args) -> int:
         raise ParamError("--jobs must be >= 1")
     if args.external is not None:
         return _emit_reports(_external_reports(args.external), args.format)
-    tasks = _grid_tasks(args.suite, args.g_max, args.ab_max)
-    if jobs == 1 or len(tasks) <= 1:
-        reports = [_run_task(t) for t in tasks]
+    batches = _grid_batches(args.suite, args.g_max, args.ab_max)
+    if jobs == 1 or len(batches) <= 1:
+        done = map(_run_batch, batches)
     else:
         # the fork start method forks every worker up front
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            reports = list(pool.map(_run_task, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            done = list(pool.map(_run_batch, batches))
+    reports = sorted(
+        (r for batch in done for r in batch),
+        key=lambda r: (r.check_id, r.params.sort_key()),
+    )
     return _emit_reports(reports, args.format)
 
 

@@ -86,19 +86,24 @@ class Presentation:
 
 @lru_cache(maxsize=None)
 def _monomial_basis_cached(ring: RingSpec, d: int) -> tuple[tuple[int, ...], ...]:
+    if not ring.names:
+        return ((),) if d == 0 else ()
     exps = [0] * len(ring)
+    last = len(ring) - 1
     out: list[tuple[int, ...]] = []
 
     def fill(i: int, remaining: int):
-        if i == len(ring):
-            if remaining == 0:
+        w = ring.weights[i]
+        if i == last:
+            # the last exponent is forced: it takes what is left, or nothing fits
+            e, rest = divmod(remaining, w)
+            if not rest:
+                exps[i] = e
                 out.append(tuple(exps))
             return
-        w = ring.weights[i]
         for e in range(remaining // w, -1, -1):
             exps[i] = e
             fill(i + 1, remaining - e * w)
-        exps[i] = 0
 
     fill(0, d)
     out.sort(key=lambda e: (ring.exponent_degree(e), e), reverse=True)

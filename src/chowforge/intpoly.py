@@ -440,23 +440,46 @@ class Polynomial:
         if missing:
             raise ValueError("missing image for: %s" % ", ".join(sorted(missing)))
 
-        # term maps of the powers of each image, built as needed; each
-        # term of the result is accumulated into one dict
+        # a single-term image c*m sends x^e to c^e * m^e, by exponent
+        # arithmetic; the other images are expanded through their powers,
+        # built as needed, and each term of the result is accumulated into
+        # one dict
+        single: dict[str, tuple[list[tuple[int, int]], int]] = {}
+        for name, img in images.items():
+            if len(img.terms) == 1:
+                ((m, c),) = img.terms.items()
+                single[name] = ([(j, k) for j, k in enumerate(m) if k], c)
         unit = (0,) * len(target)
-        one = {unit: 1}
         powers: dict[str, list[dict]] = {}
 
         def image_power(name: str, k: int) -> dict:
-            cache = powers.setdefault(name, [one])
+            cache = powers.setdefault(name, [{unit: 1}])
             while len(cache) <= k:
                 cache.append(_product(cache[-1], images[name].terms))
             return cache[k]
 
         acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
-            factors = [image_power(n, e) for n, e in zip(self.ring.names, exps) if e]
-            term = {unit: coeff}
+            mono = list(unit)
+            factors = []
+            for name, e in zip(self.ring.names, exps):
+                if not e:
+                    continue
+                s = single.get(name)
+                if s is None:
+                    factors.append(image_power(name, e))
+                    continue
+                m, c = s
+                for j, k in m:
+                    mono[j] += e * k
+                if c != 1:
+                    coeff *= c ** e
+            if not factors:
+                mono = tuple(mono)
+                acc[mono] = acc.get(mono, 0) + coeff
+                continue
+            term = {tuple(mono): coeff}
             for f in factors[:-1]:
                 term = _product(term, f)
-            _add_product(acc, term, factors[-1] if factors else one)
+            _add_product(acc, term, factors[-1])
         return Polynomial._trusted(target, _nonzero(acc))

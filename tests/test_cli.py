@@ -384,12 +384,55 @@ class TestVerify:
                 return map(fn, tasks)
 
         monkeypatch.setattr("chowforge.cli.ProcessPoolExecutor", FakePool)
+        # 4 checks on 2 grid points, (a, b) = (1, 1) and the one without
+        # parameters; the checks of a grid point run in one worker
         args = ("verify", "--suite", "identities", "--ab-max", "1")
         code, out, _ = run(capsys, *args, "--jobs", "64")
         assert code == 0 and "4 checks, 0 failed" in out
-        assert FakePool.sizes == [4]
+        assert FakePool.sizes == [2]
         assert run(capsys, *args, "--jobs", "3")[1] == out
-        assert FakePool.sizes == [4, 3]
+        assert FakePool.sizes == [2, 2]
+
+    def test_jobs_change_no_byte(self, capsys):
+        args = ("verify", "--suite", "all", "--g-max", "6", "--ab-max", "2", "--format", "json")
+        serial = run(capsys, *args, "--jobs", "1")
+        assert serial[0] == 1 and serial[1].count("\n") == 38
+        assert run(capsys, *args, "--jobs", "2") == serial
+
+    def test_each_derivation_built_once(self, capsys, monkeypatch):
+        from chowforge import catalog
+
+        derived = []
+        original = catalog.adjoin_generator
+
+        def counting(P, *rest):
+            derived.append(P)
+            return original(P, *rest)
+
+        catalog._derive.cache_clear()
+        monkeypatch.setattr(catalog, "adjoin_generator", counting)
+        code, out, _ = run(capsys, "verify", "--suite", "derivations", "--g-max", "8", "--jobs", "1")
+        pairs = len(catalog.valid_rh_even_pairs(8)) + len(catalog.valid_wrh_odd_pairs(8))
+        assert code == 0 and "%d checks, 0 failed" % (2 * pairs) in out
+        # one product presentation per (pipeline, g, n), each derived once
+        assert len(derived) == len(set(derived)) == pairs
+
+    def test_remark37_pieces_built_once(self, capsys, monkeypatch):
+        from chowforge import grideal
+
+        built = []
+        original = grideal._lattice
+
+        def counting(B, d):
+            built.append(d)
+            return original(B, d)
+
+        grideal._piece.cache_clear()
+        monkeypatch.setattr(grideal, "_lattice", counting)
+        code, out, _ = run(capsys, "verify", "--suite", "remark37", "--ab-max", "3", "--jobs", "1")
+        assert code == 1 and "18 checks, 9 failed" in out
+        # both checks of an (a, b) ask about its degree-2 piece
+        assert built == [2] * 9
 
     def test_malformed_flags_exit_2(self, capsys):
         assert run(capsys, "verify", "--suite", "bogus")[0] == 2

@@ -73,6 +73,20 @@ class TestMonomialBasis:
         R = ring_make([("c2", 2)])
         assert monomial_basis(R, 3) == []
 
+    @pytest.mark.parametrize(
+        "weights", [(1,), (2,), (1, 1, 2), (2, 1, 1), (1, 2, 3, 1), (3, 2), (2, 2, 4)]
+    )
+    def test_matches_brute_force(self, weights):
+        R = ring_make([("x%d" % i, w) for i, w in enumerate(weights)])
+        for d in range(15):
+            brute = [
+                e
+                for e in itertools.product(*(range(d // w + 1) for w in weights))
+                if R.exponent_degree(e) == d
+            ]
+            brute.sort(key=lambda e: (R.exponent_degree(e), e), reverse=True)
+            assert monomial_basis(R, d) == brute
+
 
 class TestDegreeMatrix:
     def test_single_generator(self):

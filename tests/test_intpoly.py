@@ -310,3 +310,50 @@ def test_substitute_results_are_well_formed(data):
     p, q, images, target = data
     _assert_well_formed(p.substitute(images, target), target)
     _assert_well_formed((p * q - q).substitute(images, target), target)
+
+
+# the target drops c2 and adds u, so no image is a plain copy of its variable
+_TARGET = ring_make([("t", 1), ("u", 1), ("c1", 1)])
+
+
+@st.composite
+def _mixed_images(draw):
+    """Images of t, c1, c2 in _TARGET: each a single term with coefficient
+    +-1 or +-2 (on any monomial of the right degree, multi-variable ones
+    included), a homogeneous polynomial of several terms, or zero."""
+    from chowforge.grideal import monomial_basis
+
+    images = {}
+    for name, w in zip(RING.names, RING.weights):
+        basis = monomial_basis(_TARGET, w)
+        kind = draw(st.sampled_from(["single", "several", "zero"]))
+        if kind == "single":
+            mono = draw(st.sampled_from(basis))
+            c = draw(st.sampled_from([1, -1, 2, -2]))
+            images[name] = Polynomial(_TARGET, {mono: c})
+        elif kind == "several":
+            monos = draw(st.lists(st.sampled_from(basis), min_size=2, max_size=4, unique=True))
+            coeffs = st.integers(-5, 5).filter(bool)
+            images[name] = Polynomial(_TARGET, {m: draw(coeffs) for m in monos})
+        else:
+            images[name] = Polynomial.zero(_TARGET)
+    return images
+
+
+def _substitute_oracle(p, images, target):
+    """Term by term, through the arithmetic operators alone."""
+    total = Polynomial.zero(target)
+    for exps, coeff in p.terms.items():
+        term = Polynomial.const(target, coeff)
+        for name, e in zip(p.ring.names, exps):
+            term = term * images[name] ** e
+        total = total + term
+    return total
+
+
+@settings(max_examples=500, deadline=None)
+@given(_polys, _mixed_images())
+def test_substitute_matches_oracle(p, images):
+    got = p.substitute(images, _TARGET)
+    assert got == _substitute_oracle(p, images, _TARGET)
+    _assert_well_formed(got, _TARGET)
