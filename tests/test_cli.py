@@ -184,6 +184,17 @@ class TestGraded:
         assert code == 0
         assert out == (DATA / ("graded-%s-g%d-n%d-d30.txt" % (theorem, g, n))).read_text()
 
+    @pytest.mark.parametrize("theorem, deg_max", [("thm1.3", 40), ("cor1.10", 20)])
+    def test_frozen_over_the_bundle(self, capsys, theorem, deg_max):
+        # both have a monic relation, so every piece is small over its
+        # bundle (237x41 for thm1.3 at degree 40); the tables are frozen
+        # from the Macaulay matrices (2860x441 there)
+        code, out, _ = run(
+            capsys, "graded", "--theorem", theorem, "--g", "8", "--n", "3", "--deg-max", str(deg_max)
+        )
+        assert code == 0
+        assert out == (DATA / ("graded-%s-g8-n3-d%d.txt" % (theorem, deg_max))).read_text()
+
 
 class TestIdealEq:
     def write(self, tmp_path, name, text):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowforge import grideal
+from chowforge import catalog, grideal
 from chowforge.grideal import (
     Certificate,
     Presentation,
@@ -16,7 +16,9 @@ from chowforge.grideal import (
     quotient_graded_invariants,
 )
 from chowforge.intpoly import NotHomogeneousError, Polynomial, ring_make
-from chowforge.zlinalg import AbelianInvariants, IntMatrix, solve_in_row_lattice
+from chowforge.zlinalg import AbelianInvariants, snf, solve_in_row_lattice
+from dense_snf import dense_snf
+from macaulay import macaulay
 
 RING = ring_make([("t", 1), ("c1", 1), ("c2", 2)])
 
@@ -86,6 +88,16 @@ class TestMonomialBasis:
             ]
             brute.sort(key=lambda e: (R.exponent_degree(e), e), reverse=True)
             assert monomial_basis(R, d) == brute
+
+
+    @pytest.mark.parametrize("weights", [(1,), (2,), (1, 1, 2), (2, 1, 1), (1, 2, 3, 1), (3, 2)])
+    def test_low_basis_matches_filtered_basis(self, weights):
+        R = ring_make([("x%d" % i, w) for i, w in enumerate(weights)])
+        for x in range(len(weights)):
+            for below in (1, 2, 3):
+                for d in range(15):
+                    filtered = [e for e in monomial_basis(R, d) if e[x] < below]
+                    assert list(grideal._low_basis(R, x, below, d)) == filtered
 
 
 class TestDegreeMatrix:
@@ -446,22 +458,14 @@ WEIGHTED = ring_make([("x", 1), ("y", 1), ("z", 2), ("w", 2)])
 
 def oracle_member(P, f):
     """Membership decided on the Macaulay matrix of every degree-d
-    multiple of every relation, built here from the products m*g and
-    solved in its row lattice, so it shares no code with the lattice
+    multiple of every relation, built in `macaulay` from the products m*g
+    and solved in its row lattice, so it shares no code with the lattice
     builder of `grideal`."""
     if f.is_zero():
         return True
     d = f.weighted_degree()
     cols = monomial_basis(P.ring, d)
-    rows = []
-    for g in P.relations:
-        e = g.weighted_degree()
-        if e <= d:
-            for m in monomial_basis(P.ring, d - e):
-                p = Polynomial(P.ring, {m: 1}) * g
-                rows.append([p.terms.get(c, 0) for c in cols])
-    A = IntMatrix.from_rows(rows, cols=len(cols))
-    return solve_in_row_lattice(A, [f.terms.get(c, 0) for c in cols]) is not None
+    return solve_in_row_lattice(macaulay(P, d), [f.terms.get(c, 0) for c in cols]) is not None
 
 
 def _random_combination(rng, P, d):
@@ -596,3 +600,92 @@ class TestBundleEdges:
         cert = contains(P, (t + 3 * c1) * g)
         assert cert.cofactors == (t + 3 * c1,)
         assert contains(P, t ** 2) is None
+
+
+# ----------------------------------------------------------------------------
+# graded invariants over the bundle against the Macaulay matrix
+# ----------------------------------------------------------------------------
+
+GRADED = ring_make([("x", 1), ("y", 1), ("z", 2)])
+
+
+@st.composite
+def _graded_monic_ideals(draw):
+    """A homogeneous ideal over GRADED with a forced monic relation
+    g = sign*v^k + (terms of v-degree < k), placed among 0-2 random
+    relations of degree 0-2, and, when drawn, a unit constant, a
+    duplicate of a relation and a multiple of g."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    v = draw(st.sampled_from(GRADED.names))
+    k = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from((1, -1)))
+    x = GRADED.index(v)
+    tail = _random_homog(rng, GRADED, k * GRADED.weight_of(v), lo=-3, hi=3, density=0.5)
+    tail = Polynomial(GRADED, {e: c for e, c in tail.terms.items() if e[x] < k})
+    g = sign * Polynomial.var(GRADED, v) ** k + tail
+    rels = []
+    for _ in range(draw(st.integers(0, 2))):
+        h = _random_homog(rng, GRADED, rng.randint(0, 2), lo=-6, hi=6, density=0.5)
+        if h.terms:
+            rels.append(h)
+    rels.insert(draw(st.integers(0, len(rels))), g)
+    if draw(st.integers(0, 3)) == 0:
+        rels.insert(draw(st.integers(0, len(rels))), Polynomial.const(GRADED, sign))
+    if draw(st.booleans()):
+        rels.append(rels[draw(st.integers(0, len(rels) - 1))])
+    if draw(st.booleans()):
+        rels.append(draw(st.sampled_from((2, -3, 6))) * g)
+    return Presentation(GRADED, rels), k * GRADED.weight_of(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_monic_ideals())
+def test_graded_invariants_match_macaulay_oracle(case):
+    P, D = case
+    assert grideal._bundle(P).g is not None
+    top = D + max(g.weighted_degree() for g in P.relations)
+    for d in range(top + 2):
+        assert quotient_graded_invariants(P, d) == dense_snf(macaulay(P, d)).invariants
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("thm_1_3_presentation", (2, 1)),
+        ("thm_1_3_presentation", (8, 3)),
+        ("thm_1_3_presentation", (24, 1)),
+        ("cor_1_10_presentation", (8, 3)),
+        ("thm_1_2_presentation", (3, 4)),
+    ],
+)
+def test_catalog_graded_invariants_match_macaulay_oracle(name, params):
+    # the production snf stands in for the dense one past degree 8, where
+    # the cor1.10 and thm1.2 Macaulay matrices reach 1456x252
+    P = getattr(catalog, name)(*params)
+    assert grideal._bundle(P).g is not None
+    for d in range(13):
+        M = macaulay(P, d)
+        expected = dense_snf(M).invariants if d <= 8 else snf(M)
+        assert quotient_graded_invariants(P, d) == expected
+
+
+def test_graded_invariants_reach_the_traced_names(monkeypatch):
+    """`quotient_graded_invariants` looks up `ideal_degree_matrix` and
+    `snf` as attributes of `grideal`, so that a wrapper installed on those
+    names, as a tracer does, sees every call."""
+    calls = []
+
+    def counting(name):
+        original = getattr(grideal, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(grideal, name, wrapper)
+
+    counting("ideal_degree_matrix")
+    counting("snf")
+    P = catalog.thm_1_3_presentation(8, 3)
+    assert quotient_graded_invariants(P, 4) == AbelianInvariants(0, (2, 2, 48))
+    assert calls == ["ideal_degree_matrix", "snf"]

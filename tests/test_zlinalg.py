@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowforge import zlinalg
 from chowforge.catalog import lemma_3_4_check, thm_1_3_presentation, thm_1_9_presentation
-from chowforge.grideal import ideal_degree_matrix, monomial_basis
+from chowforge.grideal import monomial_basis
 from chowforge.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -15,6 +15,7 @@ from chowforge.zlinalg import (
 )
 from dense_hnf import dense_hnf, dense_solve_in_row_lattice
 from dense_snf import dense_snf
+from macaulay import macaulay
 
 
 def det(m):
@@ -344,15 +345,15 @@ def test_hnf_matches_dense_oracle(rows, rng):
 
 
 def _lemma34_system(j):
-    """The degree-(2j+1) matrix of the Lemma 3.4 ideal and the coefficient
-    vector of its product of the 2j+1 hyperplane classes."""
+    """The degree-(2j+1) Macaulay matrix of the Lemma 3.4 ideal and the
+    coefficient vector of its product of the 2j+1 hyperplane classes."""
     ((_, cert),) = lemma_3_4_check(j, j).certificates
     d = 2 * j + 1
     index = {e: i for i, e in enumerate(monomial_basis(cert.presentation.ring, d))}
     v = [0] * len(index)
     for e, c in cert.member.terms.items():
         v[index[e]] = c
-    return ideal_degree_matrix(cert.presentation, d), v
+    return macaulay(cert.presentation, d), v
 
 
 @pytest.mark.parametrize("j", range(1, 7))
@@ -446,7 +447,7 @@ def test_tie_goes_to_the_first_row():
 )
 @pytest.mark.parametrize("d", range(6, 13))
 def test_degree_matrices_match_dense_oracles(presentation, d):
-    A = ideal_degree_matrix(presentation, d)
+    A = macaulay(presentation, d)
     rng = random.Random(d)
     y = [rng.choice((0, 0, 0, 1, -1)) for _ in range(A.rows)]
     v = [rng.randint(-3, 3) for _ in range(A.cols)]
