@@ -11,8 +11,8 @@ through ideal_equal rather than list comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chowops import adjoin_generator, root_gerbe_adjoin, torsor_quotient
 from .grideal import Certificate, Presentation, contains
@@ -49,26 +49,22 @@ class ParamError(ValueError):
     """A parameter guard was violated; the message names the guard."""
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     g: int | None = None
     n: int | None = None
     a: int | None = None
     b: int | None = None
 
     def as_dict(self) -> dict:
-        return {"g": self.g, "n": self.n, "a": self.a, "b": self.b}
+        return self._asdict()
 
     def sort_key(self) -> tuple:
-        return tuple(-1 if x is None else x for x in (self.g, self.n, self.a, self.b))
+        return tuple(-1 if x is None else x for x in self)
 
     def __str__(self) -> str:
-        parts = [
-            "%s=%d" % (k, v)
-            for k, v in (("g", self.g), ("n", self.n), ("a", self.a), ("b", self.b))
-            if v is not None
-        ]
-        return ", ".join(parts)
+        return ", ".join(
+            "%s=%d" % (k, v) for k, v in zip(self._fields, self) if v is not None
+        )
 
 
 def _require_ab(a: int, b: int):
@@ -258,8 +254,7 @@ def cor_1_10_presentation(g: int, n: int) -> Presentation:
     return root_gerbe_adjoin(P, alpha, "u")
 
 
-@dataclass(frozen=True)
-class DerivationResult:
+class DerivationResult(NamedTuple):
     presentation: Presentation
     steps: tuple[tuple[str, Presentation], ...]
 
@@ -305,8 +300,7 @@ def derive_thm_1_9(g: int, n: int) -> DerivationResult:
     return _derive(g, n, ("xi2a", 0, n - 1), ("xi2b", -2, g - n))
 
 
-@dataclass(frozen=True)
-class Lemma34Result:
+class Lemma34Result(NamedTuple):
     ok: bool
     certificates: tuple[tuple[int, Certificate], ...]  # (side value, certificate)
 
@@ -365,8 +359,7 @@ def remark_37_nonredundancy(a: int, b: int) -> bool:
     return contains(_six_generator_ideal(a, b), m2) is None
 
 
-@dataclass(frozen=True)
-class TwistChernData:
+class TwistChernData(NamedTuple):
     """First and second Chern classes of the twisted rank-2 bundle with
     roots -t1 - t, -t2 - t, recorded under both sign conventions for t.
 

@@ -15,7 +15,7 @@ Sign conventions, fixed once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grideal import Presentation, eliminate_linear
 from .intpoly import Polynomial, RingSpec, ring_make
@@ -48,23 +48,31 @@ def torus_ring() -> RingSpec:
     return ring_make([("t", 1), ("t1", 1), ("t2", 1)])
 
 
-@dataclass(frozen=True)
 class ChernRootSet:
     """Formal multiset of degree-1 Chern roots in the torus ring."""
 
-    ring: RingSpec
-    roots: tuple[Polynomial, ...]
+    __slots__ = ("ring", "roots")
 
-    def __post_init__(self):
-        for r in self.roots:
-            if r.ring != self.ring:
+    def __init__(self, ring: RingSpec, roots: tuple[Polynomial, ...]):
+        for r in roots:
+            if r.ring != ring:
                 raise ValueError("root in the wrong ring")
             if r.terms and r.weighted_degree() != 1:
                 raise ValueError("root %s is not of degree 1" % r.canonical())
+        self.ring = ring
         # multiset: store in a deterministic order
-        object.__setattr__(
-            self, "roots", tuple(sorted(self.roots, key=lambda p: p.canonical()))
-        )
+        self.roots = tuple(sorted(roots, key=lambda p: p.canonical()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChernRootSet):
+            return NotImplemented
+        return self.ring == other.ring and self.roots == other.roots
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.roots))
+
+    def __repr__(self) -> str:
+        return "ChernRootSet(%r, %r)" % (self.ring, self.roots)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -255,8 +263,7 @@ def root_gerbe_adjoin(P: Presentation, alpha: Polynomial, name: str = "u") -> Pr
     return adjoin_generator(P, name, 1, [relation])
 
 
-@dataclass(frozen=True)
-class PullbackDictionary:
+class PullbackDictionary(NamedTuple):
     """Substitution dictionary for pulling classes back along the standard
     map from the rank-2 group quotient to the projective group quotient."""
 

@@ -18,9 +18,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from . import catalog
 from .catalog import ParamError, Params
@@ -141,8 +140,7 @@ def _cmd_ideal_eq(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     params: Params
     verdict: str  # pass / fail / error
@@ -150,19 +148,14 @@ class CheckReport:
     elapsed_ms: int = 0
 
     def json_line(self) -> str:
-        doc = {
-            "check_id": self.check_id,
-            "params": self.params.as_dict(),
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        # the keys in field order, with the parameters as an object
+        doc = dict(self._asdict(), params=self.params.as_dict())
         return json.dumps(doc, separators=(",", ":"))
 
     def text_line(self) -> str:
         head = "%s %s" % (self.verdict.upper(), self.check_id)
         if str(self.params):
-            head += " [%s]" % self.params
+            head += " [%s]" % (self.params,)
         if self.verdict != "pass" and self.witness:
             head += ": %s" % self.witness
         return head
@@ -322,7 +315,7 @@ def _external_reports(path: str) -> list[CheckReport]:
             "external-proper",
             Params(),
             "pass" if proper else "fail",
-            None if proper else "degree-0 piece is %s, not Z" % zero_piece,
+            None if proper else "degree-0 piece is %s, not Z" % (zero_piece,),
         )
     )
     return reports
@@ -346,9 +339,13 @@ def _cmd_verify(args) -> int:
     if jobs == 1 or len(batches) <= 1:
         done = map(_run_batch, batches)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs above 1 loads it
+
+        workers = min(jobs, len(batches))
+        chunk = -(-len(batches) // (4 * workers))  # about four chunks per worker
         # the fork start method forks every worker up front
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            done = list(pool.map(_run_batch, batches))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_batch, batches, chunksize=chunk))
     reports = sorted(
         (r for batch in done for r in batch),
         key=lambda r: (r.check_id, r.params.sort_key()),

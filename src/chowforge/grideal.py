@@ -29,8 +29,6 @@ being returned.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -50,8 +48,6 @@ __all__ = [
     "quotient_graded_invariants",
 ]
 
-log = logging.getLogger(__name__)
-
 
 class Presentation:
     """A RingSpec plus a finite list of homogeneous relations.
@@ -69,6 +65,10 @@ class Presentation:
             if p.ring != ring:
                 raise ValueError("relation %d lives in the wrong ring" % i)
             if p.is_zero():
+                # imported here: only degenerate parameters reach this line
+                import logging
+
+                log = logging.getLogger(__name__)
                 log.debug("dropping identically-zero relation at index %d", i)
                 continue
             if not p.is_homogeneous():
@@ -396,8 +396,7 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
     return Certificate(P, f, [Polynomial(P.ring, t) for t in cof_terms])
 
 
-@dataclass(frozen=True)
-class EqualityResult:
+class EqualityResult(NamedTuple):
     equal: bool
     witness: Polynomial | None = None
     witness_side: str | None = None  # "left" / "right": which ideal owns the witness

@@ -19,9 +19,8 @@ keeps the intermediate entries from exploding.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "IntMatrix",
@@ -91,24 +90,29 @@ class IntMatrix:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Finitely generated abelian group: free rank plus elementary divisors
-    d1 | d2 | ... with every di >= 2."""
-
+class _AbelianInvariants(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+
+class AbelianInvariants(_AbelianInvariants):
+    """Finitely generated abelian group: free rank plus elementary divisors
+    d1 | d2 | ... with every di >= 2.  The checks run at construction, and
+    so again when a pickled value is loaded."""
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("elementary divisor %d < 2" % d)
             if prev is not None and d % prev != 0:
                 raise ValueError("divisibility chain broken: %d does not divide %d" % (prev, d))
             prev = d
+        return super().__new__(cls, free_rank, torsion)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

@@ -61,6 +61,20 @@ class TestSymDualRoots:
         with pytest.raises(ValueError, match="degree 1"):
             ChernRootSet(R, (V(R, "t1") ** 2,))
 
+    def test_ring_validation(self):
+        other = ring_make([("t1", 1)])
+        with pytest.raises(ValueError, match="wrong ring"):
+            ChernRootSet(torus_ring(), (V(other, "t1"),))
+
+    def test_a_multiset(self):
+        R = torus_ring()
+        t, t1 = V(R, "t"), V(R, "t1")
+        a = ChernRootSet(R, (t, t1 - t, t))
+        b = ChernRootSet(R, (t1 - t, t, t))
+        assert a == b and hash(a) == hash(b) and len(a) == 3
+        assert a.roots == b.roots
+        assert a != ChernRootSet(R, (t, t1 - t))
+
 
 class TestProjBundleRelation:
     def test_dual_standard_relation(self):

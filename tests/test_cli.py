@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from chowforge.cli import main
+from chowforge.catalog import Params
+from chowforge.cli import CheckReport, main
 from chowforge.grideal import Presentation, ideal_equal
 from chowforge.polyparse import parse_ideal_file
 
@@ -331,6 +335,17 @@ class TestVerify:
         assert doc["verdict"] == "error" and doc["witness"] == "error: boom"
         assert '"verdict":"error"' in out
 
+    def test_text_line_formats_the_parameters(self):
+        report = CheckReport(
+            "remark37-nonredundant", Params(a=1, b=1), "fail", "M2*(1) unexpectedly redundant"
+        )
+        assert report.text_line() == (
+            "FAIL remark37-nonredundant [a=1, b=1]: M2*(1) unexpectedly redundant"
+        )
+        assert CheckReport("tau-pullback-square", Params(), "pass", None).text_line() == (
+            "PASS tau-pullback-square"
+        )
+
     def test_ndjson_schema_and_order(self, capsys):
         code, out, _ = run(
             capsys,
@@ -391,10 +406,10 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("chowforge.cli.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         # 4 checks on 2 grid points, (a, b) = (1, 1) and the one without
         # parameters; the checks of a grid point run in one worker
         args = ("verify", "--suite", "identities", "--ab-max", "1")
@@ -458,11 +473,14 @@ class TestVerify:
         assert "PASS external-roundtrip" in out
         assert "PASS external-proper" in out
 
-        improper = tmp_path / "improper.ideal"
-        improper.write_text("ring: t:1\n2*t\n3\n")
-        code, out, _ = run(capsys, "verify", "--external", str(improper))
-        assert code == 1
-        assert "FAIL external-proper" in out
+        # the witness formats the invariants of the degree-0 piece
+        for relations, piece in (("2*t\n3", "Z/3"), ("1", "0")):
+            improper = tmp_path / "improper.ideal"
+            improper.write_text("ring: t:1\n%s\n" % relations)
+            code, out, _ = run(capsys, "verify", "--external", str(improper))
+            assert code == 1
+            witness = "FAIL external-proper: degree-0 piece is %s, not Z" % piece
+            assert out.splitlines()[1] == witness
 
         broken = tmp_path / "broken.ideal"
         broken.write_text("ring: t:1\n2*\n")
@@ -485,3 +503,25 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--external", str(latin1))
         assert code == 2 and out == ""
         assert err.startswith("error: %s: " % latin1)
+
+
+# modules that only some commands use; importing the package or the CLI
+# must not load them, since every command pays for what the import loads
+ON_DEMAND = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "logging")
+
+
+@pytest.mark.parametrize("module", ["chowforge", "chowforge.cli"])
+def test_import_loads_no_on_demand_module(module):
+    """A fresh interpreter imports the module; the modules it loaded on
+    top of the interpreter's own start-up must not include ON_DEMAND."""
+    code = (
+        "import sys; before = set(sys.modules); import %s; "
+        "print(sorted(set(%r) & (set(sys.modules) - before)))" % (module, ON_DEMAND)
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -40,10 +40,14 @@ def fresh_caches():
 
 
 class TestPresentation:
-    def test_zero_relations_dropped(self):
+    def test_zero_relations_dropped(self, caplog):
         t = V(RING, "t")
-        P = Presentation(RING, [2 * t, Polynomial.zero(RING), t ** 2])
+        with caplog.at_level("DEBUG", logger="chowforge.grideal"):
+            P = Presentation(RING, [2 * t, Polynomial.zero(RING), t ** 2])
         assert len(P.relations) == 2
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("chowforge.grideal", "dropping identically-zero relation at index 1")
+        ]
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(NotHomogeneousError):
