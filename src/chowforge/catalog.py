@@ -107,14 +107,16 @@ def valid_wrh_odd_pairs(g_max: int) -> list[tuple[int, int]]:
     ]
 
 
+@lru_cache(maxsize=None)
 def pxp_ring():
     """Ambient ring for the product of the two projectivized symmetric
-    powers: Z[xi2a, xi2b, c1, c2] in registry order."""
+    powers: Z[xi2a, xi2b, c1, c2] in registry order, built once."""
     return ring_make([("c1", 1), ("c2", 2), ("xi2a", 1), ("xi2b", 1)])
 
 
+@lru_cache(maxsize=None)
 def rh_ring():
-    """Z[t, c1, c2], the ambient ring of the quotient presentations."""
+    """Z[t, c1, c2], the ambient ring of the quotient presentations, built once."""
     return ring_make([("t", 1), ("c1", 1), ("c2", 2)])
 
 

@@ -393,7 +393,9 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
             q_f[t] = q_f.get(t, 0) - a * qc
     if B.g is not None:
         cof_terms[B.g.gi] = q_f
-    return Certificate(P, f, [Polynomial(P.ring, t) for t in cof_terms])
+    # fresh term maps over P.ring; Certificate re-verifies sum(h_i*g_i) = f
+    cofactors = [{e: c for e, c in t.items() if c} for t in cof_terms]
+    return Certificate(P, f, [Polynomial._trusted(P.ring, t) for t in cofactors])
 
 
 class EqualityResult(NamedTuple):

@@ -95,10 +95,20 @@ class RingSpec:
     def __len__(self) -> int:
         return len(self.names)
 
+    # shared rings compare by identity; the default __ne__ would call __eq__
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, RingSpec):
             return NotImplemented
         return self.names == other.names and self.weights == other.weights
+
+    def __ne__(self, other) -> bool:
+        if self is other:
+            return False
+        if not isinstance(other, RingSpec):
+            return NotImplemented
+        return self.names != other.names or self.weights != other.weights
 
     def __hash__(self) -> int:
         return self._hash
@@ -191,8 +201,8 @@ class Polynomial:
 
     The constructor validates its input: every coefficient must be an
     integer (a bool becomes an int, anything else raises TypeError) and
-    every exponent vector must fit the ring.  Results of arithmetic on
-    polynomials are built by `_trusted` and are not checked again.
+    every exponent vector must fit the ring.  Variables and results of
+    arithmetic are built by `_trusted` and are not checked again.
     """
 
     __slots__ = ("ring", "terms", "_hash")
@@ -256,7 +266,7 @@ class Polynomial:
     def var(ring: RingSpec, name: str) -> "Polynomial":
         exps = [0] * len(ring)
         exps[ring.index(name)] = 1
-        return Polynomial(ring, {tuple(exps): 1})
+        return Polynomial._trusted(ring, {tuple(exps): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -316,18 +326,23 @@ class Polynomial:
             return Polynomial.const(self.ring, other)
         return NotImplemented
 
-    def __add__(self, other) -> "Polynomial":
+    def _add(self, other, sign: int) -> "Polynomial":
+        """self + sign*other, for sign 1 or -1, in one pass."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for exps, coeff in other.terms.items():
-            c = terms.get(exps, 0) + coeff
+            c = get(exps, 0) + sign * coeff
             if c:
                 terms[exps] = c
             else:
-                terms.pop(exps, None)
+                del terms[exps]
         return Polynomial._trusted(self.ring, terms)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -335,19 +350,29 @@ class Polynomial:
         return Polynomial._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
+        # an integer scales the coefficients, and a single term shifts the
+        # other factor's exponents; neither can cancel a term
+        if isinstance(other, int):
+            k = operator.index(other)
+            terms = {e: c * k for e, c in self.terms.items()} if k else {}
+            return Polynomial._trusted(self.ring, terms)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._trusted(self.ring, _product(self.terms, other.terms))
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) != 1:
+            return Polynomial._trusted(self.ring, _product(a, b))
+        ((m, k),) = a.items()
+        terms = {tuple(map(add, e, m)): c * k for e, c in b.items()}
+        return Polynomial._trusted(self.ring, terms)
 
     __rmul__ = __mul__
 

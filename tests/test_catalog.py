@@ -46,6 +46,12 @@ def pxp_vars():
     return R, V(R, "xi2a"), V(R, "xi2b"), V(R, "c1"), V(R, "c2")
 
 
+def test_ambient_rings_are_shared():
+    assert rh_ring() is rh_ring()
+    assert pxp_ring() is pxp_ring()
+    assert thm_1_3_presentation(4, 1).ring is rh_ring()
+
+
 class TestClassesFG:
     def test_a1_degenerate_c2_term(self):
         R, xa, _, c1, _ = pxp_vars()

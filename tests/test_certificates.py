@@ -23,6 +23,7 @@ from chowforge.catalog import (
     valid_wrh_odd_pairs,
 )
 from chowforge.grideal import contains
+from test_intpoly import _assert_well_formed
 
 GOLDEN = Path(__file__).parent / "data" / "certificates.txt"
 
@@ -66,6 +67,14 @@ def test_route_of_each_group():
             for cert in certs
         }
         assert routes == {ROUTES[group]}, group
+
+
+def test_cofactors_are_well_formed():
+    # contains builds the cofactors without re-validation
+    for _, certs in certificate_groups():
+        for cert in certs:
+            for h in cert.cofactors:
+                _assert_well_formed(h, cert.presentation.ring)
 
 
 def test_certificates_are_frozen():

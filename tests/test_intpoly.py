@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowforge.intpoly import NotHomogeneousError, Polynomial, ring_make
+from chowforge.intpoly import NotHomogeneousError, Polynomial, _product, ring_make
 
 
 def V(ring, name):
@@ -34,6 +34,20 @@ class TestRingMake:
         b = ring_make([("t", 1), ("c2", 2)])
         assert a == b and hash(a) == hash(b)
         assert a != ring_make([("c2", 2), ("t", 1)])
+
+    def test_comparisons_by_identity_and_value(self):
+        a = ring_make([("t", 1), ("c2", 2)])
+        b = ring_make([("t", 1), ("c2", 2)])
+        other = ring_make([("t", 1), ("c2", 1)])
+        assert a == a and not (a != a)
+        assert a == b and not (a != b)
+        assert a != other and not (a == other)
+        assert a != 3 and not (a == 3)
+        assert 3 != a and not (3 == a)
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(KeyError, match="zz"):
+            Polynomial.var(ring_make([("t", 1)]), "zz")
 
     def test_with_var_uses_registry_order(self):
         R = ring_make([("c1", 1), ("c2", 2), ("xi2a", 1), ("xi2b", 1)])
@@ -297,11 +311,35 @@ def _assert_well_formed(p, ring):
     assert all(len(e) == len(ring) for e in p.terms)
 
 
+# single terms: coefficients other than +-1, monomials in several variables
+_single_terms = st.builds(
+    lambda e, c: Polynomial(RING, {e: c}), _exps, st.integers(-9, 9).filter(bool)
+)
+
+
 @settings(max_examples=500, deadline=None)
-@given(_polys, _polys, st.integers(-5, 5), st.integers(0, 3))
-def test_arithmetic_results_are_well_formed(p, q, c, k):
+@given(_polys, _polys, st.integers(-5, 5), st.integers(0, 3), _single_terms, st.booleans())
+def test_arithmetic_results_are_well_formed(p, q, c, k, m, flag):
     for r in (p + q, p - q, -p, p * q, p ** k, c * p, p + c, c - p, p - p, p * 0):
         _assert_well_formed(r, RING)
+    for r in (p * m, m * p, m * m, flag * p, p * flag, m * flag):
+        _assert_well_formed(r, RING)
+        assert all(type(coeff) is int for coeff in r.terms.values())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_polys, _polys, _single_terms)
+def test_short_routes_match_general_product(p, q, m):
+    """Products by an integer or a single term, and subtraction, against
+    the double loop of _product and against p + (-q)."""
+    zero = Polynomial.zero(RING)
+    for a, b in ((p, m), (m, p), (zero, m), (m, zero), (m, m)):
+        assert a * b == Polynomial(RING, _product(a.terms, b.terms))
+    for k in [*range(-5, 6), True, False]:
+        want = Polynomial(RING, _product(Polynomial.const(RING, k).terms, p.terms))
+        assert k * p == want and p * k == want
+    assert p - q == p + (-q)
+    assert q - p == -(p - q)
 
 
 @settings(max_examples=300, deadline=None)
