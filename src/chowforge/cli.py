@@ -8,7 +8,8 @@ validate a user-supplied ideal file with ``--external``), ``graded``
 user-supplied ideal files).
 
 Exit codes: 0 = all checks pass / equality holds, 1 = a check failed or
-the ideals differ, 2 = usage or parse error.  Identical invocations
+the ideals differ, 2 = usage or parse error, 3 = an unexpected error (the
+traceback goes to stderr).  Identical invocations
 produce byte-identical output; ``--jobs`` changes wall time only.
 """
 
@@ -447,6 +448,12 @@ def main(argv=None) -> int:
     except (ParamError, ParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:
+        # a crash is no verdict: exit 1 means a failed check or unequal ideals
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

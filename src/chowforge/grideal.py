@@ -19,12 +19,15 @@ over the bundle has the degree-d piece of R/I as its cokernel, and its
 Smith form gives the invariants.  The Macaulay matrix is built only over
 the trivial bundle.
 
-Each degree piece that membership asks about is built as a lattice once
-and kept in a small LRU cache keyed by (presentation, degree), and its
-Hermite form is kept on its matrix; every answer is still solved and
-re-verified on its own.  Membership certificates are reassembled into
-explicit polynomial cofactors and re-verified by exact arithmetic before
-being returned.
+A member that is +1 or -1 times a relation g_i (as most generators are
+that `ideal_equal` asks about) is answered by that relation alone: the
+certificate has cofactor +-1 at the first such i and 0 elsewhere, and no
+bundle, piece, Hermite form or solve is needed.  Each degree piece that
+membership does ask about is built as a lattice once and kept in a small
+LRU cache keyed by (presentation, degree), and its Hermite form is kept
+on its matrix; every answer is still solved and re-verified on its own.
+Membership certificates are reassembled into explicit polynomial
+cofactors and re-verified by exact arithmetic before being returned.
 """
 
 from __future__ import annotations
@@ -343,9 +346,10 @@ def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
 
 # Pieces kept.  `ideal_equal` asks about the generators of one
 # presentation in turn, so the repeats of a piece come close together: at
-# the default `verify` grid 8 entries miss no more often than 32 (713
-# builds for 649 distinct pieces, against 2135 without the cache) and
-# hold about 0.1 MB.
+# the default `verify` grid 8 entries miss no more often than 32 or an
+# unbounded cache (411 builds for 411 distinct pieces, against 635
+# without the cache; the generators that are +-1 times a relation build
+# none) and hold about 0.1 MB.
 _PIECES = 8
 
 
@@ -354,11 +358,24 @@ def _piece(P: Presentation, d: int) -> _Piece:
     return _lattice(_bundle(P), d)
 
 
+def _unit_multiple(f, g) -> int:
+    """1 when the nonzero term maps f and g are equal, -1 when f = -g,
+    and 0 otherwise."""
+    if len(f) != len(g):
+        return 0
+    if f == g:
+        return 1
+    return -1 if all(g.get(e) == -c for e, c in f.items()) else 0
+
+
 def contains(P: Presentation, f: Polynomial) -> Certificate | None:
     """Membership of a homogeneous polynomial, with an explicit certificate
     on success and None on refusal.
 
-    Membership is decided in R/(g) over the base ring of `_bundle(P)`.
+    When f is +1 or -1 times a relation g_i, the certificate is that
+    unit at the first such i and 0 at every other relation; no bundle or
+    piece is built.  Otherwise membership is decided in R/(g) over the
+    base ring of `_bundle(P)`.
     When a relation g is monic of degree k in a variable x, that quotient
     is free over the ring of the other variables with basis
     1, x, ..., x^(k-1) (the projective bundle formula: Fulton,
@@ -370,8 +387,15 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
     """
     if f.ring != P.ring:
         raise ValueError("ring mismatch")
+    zero = Polynomial.zero(P.ring)
     if f.is_zero():
-        return Certificate(P, f, [Polynomial.zero(P.ring)] * len(P.relations))
+        return Certificate(P, f, [zero] * len(P.relations))
+    for i, g in enumerate(P.relations):
+        sign = _unit_multiple(f.terms, g.terms)
+        if sign:
+            cofactors = [zero] * len(P.relations)
+            cofactors[i] = Polynomial.const(P.ring, sign)
+            return Certificate(P, f, cofactors)
     d = f.weighted_degree()
     B = _bundle(P)
     if B.g is None:

@@ -23,6 +23,7 @@ from chowforge.catalog import (
     valid_wrh_odd_pairs,
 )
 from chowforge.grideal import contains
+from chowforge.intpoly import Polynomial
 from test_intpoly import _assert_well_formed
 
 GOLDEN = Path(__file__).parent / "data" / "certificates.txt"
@@ -75,6 +76,25 @@ def test_cofactors_are_well_formed():
         for cert in certs:
             for h in cert.cofactors:
                 _assert_well_formed(h, cert.presentation.ring)
+
+
+def test_unit_members_have_unit_certificates():
+    # a derived relation that is +-1 times a direct one is answered by
+    # that relation alone, with no piece
+    units = 0
+    for group, certs in certificate_groups():
+        if group not in ("thm1.3", "thm1.9"):
+            continue
+        for cert in certs:
+            P, f = cert.presentation, cert.member
+            if not any(f == g or f == -g for g in P.relations):
+                continue
+            units += 1
+            [(h, g)] = cert.nonzero_parts()
+            assert h == Polynomial.const(P.ring, 1 if f == g else -1)
+    # 132 of the 210 derived relations: 55 were answered this way by the
+    # piece route too, 77 got a longer certificate there
+    assert units == 132
 
 
 def test_certificates_are_frozen():

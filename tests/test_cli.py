@@ -138,6 +138,17 @@ class TestGraded:
         assert code == 0
         assert out.splitlines() == ["degree 0: Z", "degree 1: (Z/2)^2"]
 
+    def test_crash_exit_3(self, capsys, monkeypatch):
+        def boom(P, d):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("chowforge.cli.quotient_graded_invariants", boom)
+        code, out, err = run(
+            capsys, "graded", "--theorem", "thm1.3", "--g", "2", "--n", "1", "--deg-max", "1"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
+
     def test_deg_max_zero(self, capsys):
         code, out, _ = run(
             capsys,
@@ -219,6 +230,17 @@ class TestIdealEq:
         assert code == 1
         assert out.startswith("not equal")
         assert "t" in out
+
+    def test_crash_exit_3(self, capsys, tmp_path, monkeypatch):
+        # exit 1 would read as "the ideals differ"
+        def boom(P, Q):
+            raise AssertionError("boom")
+
+        monkeypatch.setattr("chowforge.cli.ideal_equal", boom)
+        a = self.write(tmp_path, "a.ideal", "ring: t:1\n2*t\n")
+        code, out, err = run(capsys, "ideal-eq", a, a)
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback") and err.endswith("AssertionError: boom\n")
 
     def test_ring_mismatch_exit_2(self, capsys, tmp_path):
         a = self.write(tmp_path, "a.ideal", "ring: t:1\n2*t\n")

@@ -151,8 +151,11 @@ class TestContains:
         from chowforge.catalog import thm_1_2_presentation
 
         P = thm_1_2_presentation(2, 3)
+        c1 = V(P.ring, "c1")
         for g in P.relations:
             assert contains(P, g) is not None
+            # not a unit multiple of a relation: decided on the piece
+            assert contains(P, c1 * g) is not None
 
     def test_zero_member(self):
         P = Presentation(RING, [2 * V(RING, "t")])
@@ -247,8 +250,10 @@ class TestPieceCache:
         first = [_certificate_key(contains(P, f)) for P, f in ideals]
         for Q in extra:
             for g in Q.relations:
-                assert contains(Q, g) is not None
+                # c1*g, not g: a generator itself is answered without a piece
+                assert contains(Q, c1 * g) is not None
             assert contains(Q, c1 ** 2 * c2) is None
+        assert grideal._piece.cache_info().misses > grideal._PIECES
         assert [_certificate_key(contains(P, f)) for P, f in ideals] == first
         assert all(contains(P, t1 ** (2 * j + 1)) is None for j, (P, _) in enumerate(ideals, 1))
         assert grideal._piece.cache_info().currsize <= grideal._PIECES
@@ -256,8 +261,12 @@ class TestPieceCache:
 
 class TestIdealEqual:
     def test_sign(self):
-        t = V(RING, "t")
+        t, c1 = V(RING, "t"), V(RING, "c1")
         assert ideal_equal(Presentation(RING, [2 * t]), Presentation(RING, [-2 * t]))
+        # c1 + 2t and c1 are no unit multiple of a generator of the other side
+        assert ideal_equal(
+            Presentation(RING, [2 * t, c1]), Presentation(RING, [-2 * t, c1 + 2 * t])
+        )
 
     def test_redundant_generator(self):
         t = V(RING, "t")
@@ -562,6 +571,81 @@ def test_bundle_route_is_taken(monkeypatch):
     P, ptilde = _lemma34_ideal(20)
     assert contains(P, ptilde) is not None
     assert remark_37_reduction(8, 8) is not None
+
+
+@st.composite
+def _ideals_without_monic(draw):
+    """1-4 homogeneous generators over WEIGHTED, each 2 or 3 times a
+    random form, so that no coefficient is +-1 and no relation is monic,
+    and a random seed."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 4))
+    gens = []
+    while len(gens) < n:
+        h = _random_homog(rng, WEIGHTED, rng.randint(1, 3), lo=-4, hi=4, density=0.5)
+        if h.terms:
+            gens.append(rng.choice((2, 3)) * h)
+    return Presentation(WEIGHTED, gens), rng
+
+
+def _with_duplicates(P, rng):
+    """P with 1-3 copies of its generators, each the generator or its
+    negation, inserted at random places."""
+    gens = list(P.relations)
+    for _ in range(rng.randint(1, 3)):
+        g = rng.choice(gens)
+        gens.insert(rng.randint(0, len(gens)), rng.choice((1, -1)) * g)
+    return Presentation(P.ring, gens)
+
+
+def _refuse(*args):
+    raise AssertionError("a unit member reached the piece route")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_monic_ideals(), _ideals_without_monic()))
+def test_unit_route_matches_oracle(case):
+    P, rng = case
+    P = _with_duplicates(P, rng)
+    gens = P.relations
+    # each g_i and -g_i, against the first j with g_j = +-g_i
+    expected = {}
+    for g in gens:
+        j, s = next((j, s) for j, h in enumerate(gens) for s in (1, -1) if g == s * h)
+        expected[g], expected[-g] = (j, s), (j, -s)
+    clear_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_bundle", "_lattice", "solve_in_row_lattice"):
+            mp.setattr(grideal, name, _refuse)
+        certs = {f: contains(P, f) for f in expected}
+    for f, (j, s) in expected.items():
+        nonzero = [(i, h) for i, h in enumerate(certs[f].cofactors) if h]
+        assert nonzero == [(j, Polynomial.const(P.ring, s))]
+        assert oracle_member(P, f)
+
+    # a near miss that is no unit multiple of a relation is solved on its piece
+    solved = []
+    solve = grideal.solve_in_row_lattice
+
+    def counting(A, v):
+        solved.append(v)
+        return solve(A, v)
+
+    x = V(P.ring, rng.choice(P.ring.names))
+    near = [f for g in gens for f in (2 * g, x * g)]
+    near += [
+        g + h
+        for i, g in enumerate(gens)
+        for h in gens[i + 1 :]
+        if h.weighted_degree() == g.weighted_degree() and g != -h
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grideal, "solve_in_row_lattice", counting)
+        for f in near:
+            unit = any(f == s * g for g in gens for s in (1, -1))
+            before = len(solved)
+            assert (contains(P, f) is not None) == oracle_member(P, f)
+            assert len(solved) == before + (not unit)
 
 
 class TestBundleEdges:
