@@ -7,6 +7,13 @@ never as per-instance literals, and relations keep their reference signs
 and order.  The derivation pipelines reproduce the same ideals only up to
 multiples of the first relation, which is why every cross-check goes
 through ideal_equal rather than list comparison.
+
+The last point's values are kept: the constructors that one grid point
+calls more than once (`classes_FG`, `classes_M`, `_six_generator_ideal`
+and the Theorem 1.2, 1.3 and 1.9 presentations) and the last derivation
+each hold their latest result.  `verify` runs the checks of one point
+back to back, in one process also under --jobs, so one entry each is
+enough.  No caller changes a kept value, so sharing one changes no answer.
 """
 
 from __future__ import annotations
@@ -131,6 +138,7 @@ def _pxp_vars():
     )
 
 
+@lru_cache(maxsize=1)
 def classes_FG(a: int, b: int):
     """Pushforwards generating the squaring-locus classes:
     F1*(1), F1*(xi1), G1*(1), G1*(xi1)."""
@@ -143,6 +151,7 @@ def classes_FG(a: int, b: int):
     return f1, f2, g1, g2
 
 
+@lru_cache(maxsize=1)
 def classes_M(a: int, b: int):
     """Pushforwards generating the common-factor-locus classes:
     M1*(1), M1*(xi1) and the six-term M2*(1)."""
@@ -169,6 +178,7 @@ def remark_37_class(a: int, b: int) -> Polynomial:
     return 2 * a * b * (2 * a - 1) * (2 * b - 1) * (4 * c2 - c1 ** 2)
 
 
+@lru_cache(maxsize=1)
 def thm_1_2_presentation(a: int, b: int) -> Presentation:
     """The seven-relation ideal of the complement of the singular locus in
     the product of the two projectivized symmetric powers."""
@@ -194,6 +204,7 @@ def j1_presentation(a: int, b: int) -> Presentation:
     return Presentation(pxp_ring(), [f1, f2, g1, g2, m1, m1xi, m2])
 
 
+@lru_cache(maxsize=1)
 def thm_1_3_presentation(g: int, n: int) -> Presentation:
     """Integral Chow ring presentation for even genus: Z[t, c1, c2] modulo
     its seven relations (identically-zero rows dropped)."""
@@ -220,6 +231,7 @@ def thm_1_3_presentation(g: int, n: int) -> Presentation:
     return Presentation(R, rows)
 
 
+@lru_cache(maxsize=1)
 def thm_1_9_presentation(g: int, n: int) -> Presentation:
     """Integral Chow ring presentation of the non-rigidified stack for g, n
     both odd: Z[t, c1, c2] modulo its seven relations."""
@@ -268,8 +280,9 @@ def _derive(g: int, n: int, class1_coeffs, class2_coeffs) -> DerivationResult:
     quotients.  classK_coeffs gives (xi coefficient name, t coefficient,
     c1 coefficient) for the two torsor classes.
 
-    The last derivation is kept: `verify` runs the checks of one (g, n)
-    back to back, and two of them derive the same presentation."""
+    The last derivation is kept, by the module's rule for the last
+    point's values: two checks of one (g, n) derive the same
+    presentation."""
     a, b = n, g + 1 - n
     steps = []
     P = thm_1_2_presentation(a, b)
@@ -341,6 +354,7 @@ def lemma_3_4_check(a: int, b: int) -> Lemma34Result:
     return Lemma34Result(ok, tuple(certs))
 
 
+@lru_cache(maxsize=1)
 def _six_generator_ideal(a: int, b: int) -> Presentation:
     f1, f2, g1, g2 = classes_FG(a, b)
     m1, m1xi, _ = classes_M(a, b)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .grideal import Presentation, eliminate_linear
-from .intpoly import Polynomial, RingSpec, ring_make
+from .intpoly import Polynomial, RingSpec, _substitute_all, ring_make
 
 __all__ = [
     "ChernRootSet",
@@ -216,7 +216,7 @@ def adjoin_generator(
     homogeneous relations; old relations carry over verbatim."""
     ring = P.ring.with_var(name, weight)  # raises on name collision
     embed = {n: Polynomial.var(ring, n) for n in P.ring.names}
-    carried = [g.substitute(embed, ring) for g in P.relations]
+    carried = _substitute_all(P.relations, embed, ring)
     for p in new_relations:
         if p.ring != ring:
             raise ValueError("new relation must live in the extended ring")

@@ -36,7 +36,7 @@ from functools import lru_cache, partial
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .intpoly import Polynomial, RingSpec
+from .intpoly import Polynomial, RingSpec, _substitute_all
 from .zlinalg import AbelianInvariants, IntMatrix, snf, solve_in_row_lattice
 
 __all__ = [
@@ -474,7 +474,7 @@ def eliminate_linear(P: Presentation, v: str, h: Polynomial) -> Presentation:
         )
     images = {name: Polynomial.var(small, name) for name in small.names}
     images[v] = h
-    return Presentation(small, [g.substitute(images, small) for g in P.relations])
+    return Presentation(small, _substitute_all(P.relations, images, small))
 
 
 def quotient_graded_invariants(P: Presentation, d: int) -> AbelianInvariants:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "RingSpec",
@@ -440,10 +440,12 @@ class Polynomial:
     ) -> "Polynomial":
         """Apply a graded ring homomorphism given by variable images.
 
-        Every variable occurring in the polynomial needs an image, and
-        each image must be homogeneous of its variable's weight (the zero
-        polynomial counts as homogeneous of every degree).  The result is
-        homogeneous of the same degree whenever the input is.
+        The map is checked on every call, before anything is expanded:
+        each image must name a variable of this polynomial's ring, live
+        in the target ring and be homogeneous of its variable's weight
+        (the zero polynomial counts as homogeneous of every degree), and
+        every variable occurring in the polynomial needs an image.  The
+        result is homogeneous of the same degree whenever the input is.
         """
         if target is None:
             for img in images.values():
@@ -451,43 +453,66 @@ class Polynomial:
                 break
             else:
                 target = self.ring
-        for name, img in images.items():
-            if img.ring != target:
-                raise ValueError("image of %s lives in the wrong ring" % name)
-            if img.terms:
-                d = img.weighted_degree()
-                if d != self.ring.weight_of(name):
-                    raise ValueError(
-                        "image of %s has degree %d, expected %d"
-                        % (name, d, self.ring.weight_of(name))
-                    )
-        missing = self.support_names() - set(images)
-        if missing:
-            raise ValueError("missing image for: %s" % ", ".join(sorted(missing)))
+        _check_map(self.ring, images, target, self.support_names())
+        return _expander(images, target)(self)
 
-        # a single-term image c*m sends x^e to c^e * m^e, by exponent
-        # arithmetic; the other images are expanded through their powers,
-        # built as needed, and each term of the result is accumulated into
-        # one dict
-        single: dict[str, tuple[list[tuple[int, int]], int]] = {}
-        for name, img in images.items():
-            if len(img.terms) == 1:
-                ((m, c),) = img.terms.items()
-                single[name] = ([(j, k) for j, k in enumerate(m) if k], c)
-        unit = (0,) * len(target)
-        powers: dict[str, list[dict]] = {}
 
-        def image_power(name: str, k: int) -> dict:
-            cache = powers.setdefault(name, [{unit: 1}])
-            while len(cache) <= k:
-                cache.append(_product(cache[-1], images[name].terms))
-            return cache[k]
+def _check_map(
+    source: RingSpec,
+    images: Mapping[str, Polynomial],
+    target: RingSpec,
+    needed: Iterable[str],
+) -> None:
+    """Raise ValueError unless `images` is a graded map from `source` into
+    `target` that gives each name in `needed` an image."""
+    for name, img in images.items():
+        if name not in source:
+            raise ValueError(
+                "image given for %s, which is not a variable of the source ring" % name
+            )
+        if img.ring != target:
+            raise ValueError("image of %s lives in the wrong ring" % name)
+        if img.terms:
+            d = img.weighted_degree()
+            if d != source.weight_of(name):
+                raise ValueError(
+                    "image of %s has degree %d, expected %d"
+                    % (name, d, source.weight_of(name))
+                )
+    missing = set(needed).difference(images)
+    if missing:
+        raise ValueError("missing image for: %s" % ", ".join(sorted(missing)))
 
+
+def _expander(images: Mapping[str, Polynomial], target: RingSpec):
+    """The expansion of a checked map: a function sending a polynomial of
+    the source ring to its image.  The powers of the images it builds are
+    kept for every polynomial it is applied to."""
+    # a single-term image c*m sends x^e to c^e * m^e, by exponent
+    # arithmetic; the other images are expanded through their powers,
+    # built as needed, and each term of the result is accumulated into
+    # one dict
+    single: dict[str, tuple[list[tuple[int, int]], int]] = {}
+    for name, img in images.items():
+        if len(img.terms) == 1:
+            ((m, c),) = img.terms.items()
+            single[name] = ([(j, k) for j, k in enumerate(m) if k], c)
+    unit = (0,) * len(target)
+    powers: dict[str, list[dict]] = {}
+
+    def image_power(name: str, k: int) -> dict:
+        cache = powers.setdefault(name, [{unit: 1}])
+        while len(cache) <= k:
+            cache.append(_product(cache[-1], images[name].terms))
+        return cache[k]
+
+    def expand(p: Polynomial) -> Polynomial:
         acc: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
+        names = p.ring.names
+        for exps, coeff in p.terms.items():
             mono = list(unit)
             factors = []
-            for name, e in zip(self.ring.names, exps):
+            for name, e in zip(names, exps):
                 if not e:
                     continue
                 s = single.get(name)
@@ -508,3 +533,24 @@ class Polynomial:
                 term = _product(term, f)
             _add_product(acc, term, factors[-1])
         return Polynomial._trusted(target, _nonzero(acc))
+
+    return expand
+
+
+def _substitute_all(
+    polys: Sequence[Polynomial],
+    images: Mapping[str, Polynomial],
+    target: RingSpec,
+) -> list[Polynomial]:
+    """`[p.substitute(images, target) for p in polys]` for polynomials of
+    one ring, with the map checked once instead of once per polynomial.
+    The check is against every variable of that ring, so it also refuses
+    a map that leaves a variable no polynomial uses without an image."""
+    if not polys:
+        return []
+    source = polys[0].ring
+    for p in polys:
+        if p.ring != source:
+            raise ValueError("ring mismatch: %r vs %r" % (p.ring, source))
+    _check_map(source, images, target, source.names)
+    return list(map(_expander(images, target), polys))

@@ -349,3 +349,62 @@ def test_twist_chern_data():
     assert data.c2_computed == c2 + t * c1 + t ** 2
     assert data.c2_alt == c2 - t * c1 + t ** 2
     assert data.conditional_equality_holds()
+
+
+class TestKeptValues:
+    """The constructors that keep the last grid point's value hand out
+    shared objects; nothing may change them."""
+
+    AB = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    KEPT = [
+        (classes_FG, AB),
+        (classes_M, AB),
+        (_six_generator_ideal, AB),
+        (thm_1_2_presentation, AB),
+        (thm_1_3_presentation, valid_rh_even_pairs(8)),
+        (thm_1_9_presentation, valid_wrh_odd_pairs(9)),
+    ]
+
+    @staticmethod
+    def _rows(value):
+        if isinstance(value, Presentation):
+            return value.ring, list(value.relations)
+        return None, list(value)
+
+    @pytest.mark.parametrize("fn, points", KEPT, ids=[fn.__name__ for fn, _ in KEPT])
+    def test_kept_value_equals_fresh(self, fn, points):
+        assert fn.cache_info().maxsize == 1
+        for args in points:
+            kept = fn(*args)
+            assert fn(*args) is kept
+            ring, rows = self._rows(kept)
+            fresh_ring, fresh_rows = self._rows(fn.__wrapped__(*args))
+            assert ring == fresh_ring and len(rows) == len(fresh_rows)
+            for got, want in zip(rows, fresh_rows):
+                assert got.ring == want.ring and got.terms == want.terms
+
+    def test_verify_reruns_are_unchanged(self, capsys, monkeypatch):
+        from chowforge import catalog, cli
+
+        argv = ["verify", "--suite", "all", "--format", "json"]
+        outs = []
+        for _ in range(2):
+            cli.main(argv)
+            outs.append(capsys.readouterr().out)
+
+        def clear_all():
+            for obj in vars(catalog).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+        run_task = cli._run_task
+
+        def cold_task(task):
+            clear_all()
+            return run_task(task)
+
+        monkeypatch.setattr(cli, "_run_task", cold_task)
+        cli.main(argv)
+        cold = capsys.readouterr().out
+        assert cold.count("\n") == 482
+        assert outs == [cold, cold]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from chowforge.chowops import (
@@ -14,7 +16,7 @@ from chowforge.chowops import (
     torus_ring,
     torsor_quotient,
 )
-from chowforge.grideal import Presentation, contains, ideal_equal
+from chowforge.grideal import Presentation, contains, eliminate_linear, ideal_equal
 from chowforge.intpoly import Polynomial, ring_make
 
 
@@ -161,6 +163,55 @@ class TestAdjoinGenerator:
         R = ring_make([("t", 1)])
         with pytest.raises(ValueError, match="collision"):
             adjoin_generator(Presentation(R, []), "t", 1, [])
+
+
+class TestMapFaults:
+    """adjoin_generator and eliminate_linear check their ring map once for
+    all relations; a faulty map still fails with the message of
+    Polynomial.substitute.  Their maps are sound by construction, so the
+    faults are put in by hand: a variable built in another ring or of
+    another weight, or a relation with a variable the map does not know."""
+
+    R = ring_make([("t", 1), ("c1", 1), ("c2", 2), ("xi", 1)])
+
+    def presentation(self):
+        t, c1, c2 = V(self.R, "t"), V(self.R, "c1"), V(self.R, "c2")
+        return Presentation(self.R, [2 * t, c1 ** 2 - c2 + t * c1])
+
+    def run_both(self, P):
+        with pytest.raises(ValueError) as adjoined:
+            adjoin_generator(P, "u", 1, [])
+        with pytest.raises(ValueError) as eliminated:
+            eliminate_linear(P, "xi", Polynomial.zero(P.ring.without("xi")))
+        return str(adjoined.value), str(eliminated.value)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("ring", "image of c1 lives in the wrong ring"),
+            ("degree", "image of c1 has degree 2, expected 1"),
+        ],
+    )
+    def test_faulty_image(self, monkeypatch, fault, message):
+        var = Polynomial.var
+        other = ring_make([("c1", 1)])
+
+        def faulty(ring, name):
+            if name != "c1":
+                return var(ring, name)
+            return var(other, "c1") if fault == "ring" else var(ring, "c2")
+
+        P = self.presentation()
+        monkeypatch.setattr(Polynomial, "var", staticmethod(faulty))
+        assert self.run_both(P) == (message, message)
+
+    def test_missing_image(self):
+        # relations over R plus z, presented as if over R
+        big = self.R.with_var("z", 1)
+        g = 2 * V(big, "t") + V(big, "z")
+        P = SimpleNamespace(ring=self.R, relations=(g,))
+        message = "missing image for: z"
+        assert self.run_both(P) == (message, message)
 
 
 class TestTorsorQuotient:

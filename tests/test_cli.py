@@ -482,6 +482,39 @@ class TestVerify:
         # both checks of an (a, b) ask about its degree-2 piece
         assert built == [2] * 9
 
+    def test_each_point_builds_its_classes_once(self, capsys):
+        from chowforge import catalog
+
+        kept = (
+            catalog.classes_FG,
+            catalog.classes_M,
+            catalog._six_generator_ideal,
+            catalog.thm_1_2_presentation,
+            catalog.thm_1_3_presentation,
+            catalog.thm_1_9_presentation,
+            catalog._derive,
+        )
+        for fn in kept:
+            fn.cache_clear()
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--g-max", "6", "--ab-max", "3", "--jobs", "1"
+        )
+        assert code == 1 and "63 checks, 9 failed" in out
+        # each miss of a kept function runs its body once
+        built = {fn.__name__: fn.cache_info().misses for fn in kept}
+        rh = len(catalog.valid_rh_even_pairs(6))
+        wrh = len(catalog.valid_wrh_odd_pairs(6))
+        assert built == {
+            "classes_FG": 9,
+            "classes_M": 9,
+            "_six_generator_ideal": 9,
+            # the nine (a, b), then one product presentation per derivation
+            "thm_1_2_presentation": 9 + rh + wrh,
+            "thm_1_3_presentation": rh,
+            "thm_1_9_presentation": wrh,
+            "_derive": rh + wrh,
+        }
+
     def test_malformed_flags_exit_2(self, capsys):
         assert run(capsys, "verify", "--suite", "bogus")[0] == 2
         assert run(capsys, "verify", "--g-max", "1")[0] == 2

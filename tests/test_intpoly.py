@@ -1,7 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowforge.intpoly import NotHomogeneousError, Polynomial, _product, ring_make
+from chowforge.intpoly import (
+    NotHomogeneousError,
+    Polynomial,
+    _product,
+    _substitute_all,
+    ring_make,
+)
 
 
 def V(ring, name):
@@ -213,6 +221,39 @@ class TestSubstitute:
         images = {"t": Polynomial.zero(RING), "c1": V(RING, "c1")}
         assert (V(RING, "t") * V(RING, "c1")).substitute(images).is_zero()
 
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_image_of_a_foreign_variable(self, zero):
+        # z is not a variable of the source ring: its image is refused,
+        # whether it is zero or not
+        R = ring_make([("x", 1)])
+        S = ring_make([("x", 1), ("z", 1)])
+        z = Polynomial.zero(S) if zero else V(S, "z")
+        images = {"x": V(S, "x"), "z": z}
+        msg = "image given for z, which is not a variable of the source ring"
+        with pytest.raises(ValueError, match=msg):
+            V(R, "x").substitute(images, S)
+        with pytest.raises(ValueError, match=msg):
+            _substitute_all([V(R, "x")], images, S)
+
+    def test_map_faults_of_many(self):
+        # the map is checked against every variable of the source ring, with
+        # the messages of substitute, also c2, which neither polynomial uses
+        S = ring_make([("x", 1), ("y", 1)])
+        good = {"t": V(S, "x"), "c1": V(S, "y"), "c2": V(S, "x") * V(S, "y")}
+        polys = [2 * V(RING, "t"), V(RING, "c1") ** 2 - V(RING, "t") * V(RING, "c1")]
+        assert _substitute_all(polys, good, S) == [p.substitute(good, S) for p in polys]
+        assert _substitute_all([], good, S) == []
+        faults = [
+            (dict(good, c1=V(RING, "c1")), "image of c1 lives in the wrong ring"),
+            (dict(good, c2=V(S, "x")), "image of c2 has degree 1, expected 2"),
+            ({"t": V(S, "x"), "c1": V(S, "y")}, "missing image for: c2"),
+        ]
+        for images, msg in faults:
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                _substitute_all(polys, images, S)
+        with pytest.raises(ValueError, match="ring mismatch"):
+            _substitute_all([V(RING, "t"), V(XRING, "c1")], good, S)
+
 
 class TestCanonicalString:
     def test_interface_contract_example(self):
@@ -395,3 +436,13 @@ def test_substitute_matches_oracle(p, images):
     got = p.substitute(images, _TARGET)
     assert got == _substitute_oracle(p, images, _TARGET)
     _assert_well_formed(got, _TARGET)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_polys, max_size=4), _mixed_images())
+def test_substitute_all_matches_substitute(polys, images):
+    # one map for many polynomials, its image powers shared between them
+    got = _substitute_all(polys, images, _TARGET)
+    assert got == [p.substitute(images, _TARGET) for p in polys]
+    for q in got:
+        _assert_well_formed(q, _TARGET)
