@@ -22,19 +22,21 @@ the trivial bundle.
 A member that is +1 or -1 times a relation g_i (as most generators are
 that `ideal_equal` asks about) is answered by that relation alone: the
 certificate has cofactor +-1 at the first such i and 0 elsewhere, and no
-bundle, piece, Hermite form or solve is needed.  Each degree piece that
-membership does ask about is built as a lattice once and kept in a small
-LRU cache keyed by (presentation, degree), and its Hermite form is kept
-on its matrix; every answer is still solved and re-verified on its own.
+bundle, piece, Hermite form or solve is needed.  The bundle of a
+presentation is the one object that holds its state: the reduction and
+each degree piece that membership asks about, built once, with its
+Hermite form kept on its matrix.  A small LRU cache keeps the bundles of
+the last few presentations; every answer is still solved and re-verified
+on its own.
 Membership certificates are reassembled into explicit polynomial
 cofactors and re-verified by exact arithmetic before being returned.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intpoly import Polynomial, RingSpec, _substitute_all
 from .zlinalg import AbelianInvariants, IntMatrix, snf, solve_in_row_lattice
@@ -92,7 +94,15 @@ class Presentation:
         return "Presentation(%r, %d relations)" % (self.ring, len(self.relations))
 
 
-def _enumerate(ring: RingSpec, d: int, x: int | None, below: int) -> tuple[tuple[int, ...], ...]:
+# Bases kept.  The default `verify` grid asks for 41 and the stretched
+# grid (--g-max 60 --ab-max 20) for 77, and `graded --deg-max D` walks the
+# degrees in order; on each, 64 entries miss no more often than an
+# unbounded cache, and a long run does not keep every basis it built.
+_BASES = 64
+
+
+@lru_cache(maxsize=_BASES)
+def _basis(ring: RingSpec, x: int | None, below: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors of weighted degree d, with the exponent of
     variable x below `below` when x is not None, in canonical order.  In
     one degree that order is descending lexicographic, which is the order
@@ -124,23 +134,11 @@ def _enumerate(ring: RingSpec, d: int, x: int | None, below: int) -> tuple[tuple
     return tuple(out)
 
 
-# Bases kept, of each kind.  The default `verify` grid asks for 37 low
-# bases and 5 full ones, and `graded --deg-max D` walks the degrees in
-# order, so 64 entries miss no more often there than an unbounded cache
-# and a long run does not keep every basis it built.
-_BASES = 64
-
-
-@lru_cache(maxsize=_BASES)
-def _monomial_basis_cached(ring: RingSpec, d: int) -> tuple[tuple[int, ...], ...]:
-    return _enumerate(ring, d, None, 0)
-
-
 def monomial_basis(ring: RingSpec, d: int) -> list[tuple[int, ...]]:
     """All exponent vectors of weighted degree exactly d, canonical order."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return list(_monomial_basis_cached(ring, d))
+    return list(_basis(ring, None, 0, d))
 
 
 def _vector_of(terms, index: dict[tuple[int, ...], int]) -> list[int]:
@@ -187,13 +185,6 @@ class Certificate:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=_BASES)
-def _low_basis(ring: RingSpec, x: int, below: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The degree-d monomials whose exponent of variable x is below
-    `below`, in canonical order."""
-    return _enumerate(ring, d, x, below)
-
-
 class _Monic(NamedTuple):
     """The relation g = sign*x^k + tail of index gi, where tail has
     x-degree < k."""
@@ -228,11 +219,12 @@ def _divide(terms, g: _Monic) -> tuple[dict, dict]:
     return quo, rem
 
 
-class _Bundle(NamedTuple):
+class _Bundle:
     """The quotient R/(g) of the ring R of P as a free module over the
     ring of the other variables, with basis 1, x, ..., x^(k-1), for a
-    relation g of P monic in x (the projective bundle formula).  With no
-    monic relation it is the trivial bundle: g is None and R is free over
+    relation g of P monic in x (the projective bundle formula), and the
+    degree pieces that membership solves on over it.  With no monic
+    relation it is the trivial bundle: g is None and R is free over
     itself with basis {1}.
 
     `columns(d)` are the monomials of degree d of R/(g) and
@@ -241,31 +233,44 @@ class _Bundle(NamedTuple):
     x^i as an exponent vector, degree of x^i*h, r terms, q terms) with
     x^i*h = q*g + r; the spans of the trivial bundle are the relations
     themselves, with shift 1 and q = 0.  The image of the ideal in R/(g)
-    is the span of the m*r over the multipliers m."""
+    is the span of the m*r over the multipliers m.  `piece(d)` is built
+    once per degree and kept while the bundle is."""
 
-    g: _Monic | None
-    columns: Callable[[int], tuple[tuple[int, ...], ...]]
-    multipliers: Callable[[int], tuple[tuple[int, ...], ...]]
-    spans: tuple
+    __slots__ = ("ring", "g", "spans", "pieces")
+
+    def __init__(self, ring: RingSpec, g: _Monic | None, spans: tuple):
+        self.ring = ring
+        self.g = g
+        self.spans = spans
+        self.pieces: dict[int, _Piece] = {}
+
+    def columns(self, d: int) -> tuple[tuple[int, ...], ...]:
+        g = self.g
+        return _basis(self.ring, None, 0, d) if g is None else _basis(self.ring, g.x, g.k, d)
+
+    def multipliers(self, d: int) -> tuple[tuple[int, ...], ...]:
+        g = self.g
+        return _basis(self.ring, None, 0, d) if g is None else _basis(self.ring, g.x, 1, d)
+
+    def piece(self, d: int) -> _Piece:
+        p = self.pieces.get(d)
+        if p is None:
+            p = self.pieces[d] = _lattice(self, d)
+        return p
 
 
-def _trivial_bundle(P: Presentation) -> _Bundle:
-    basis = partial(_monomial_basis_cached, P.ring)
-    one = (0,) * len(P.ring)
-    spans = tuple((hi, one, h.weighted_degree(), h.terms, {}) for hi, h in enumerate(P.relations))
-    return _Bundle(None, basis, basis, spans)
-
-
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
 def _bundle(P: Presentation) -> _Bundle:
     """The bundle of the first relation g of positive degree, in relation
     order, that is monic in a variable x, the first such variable in ring
     order; the trivial bundle when no relation is.  Monic means a pure
     power x^k with coefficient +-1 and k*weight(x) = deg g, so by
     homogeneity no other term of g reaches x-degree k.  The spans are the
-    nonzero remainders of x^i*h for each other relation h and i < k.  The
-    cache is small: `ideal_equal` asks about two presentations at a time,
-    and a `verify` grid holds hundreds."""
+    nonzero remainders of x^i*h for each other relation h and i < k.
+    This is the one cache of presentation state, and it is small: a
+    `verify` grid point asks about a few presentations at a time, so 8
+    bundles build no more pieces than 16 did (411 at the default grid,
+    3051 at the stretched one), and a long run keeps few pieces."""
     ring = P.ring
     degrees = [ring.exponent_degree(next(iter(g.terms))) for g in P.relations]
     for gi, (g, D) in enumerate(zip(P.relations, degrees)):
@@ -290,10 +295,10 @@ def _bundle(P: Presentation) -> _Bundle:
                 q, r = _divide(shifted, monic)
                 if r:
                     spans.append((hi, shift, degrees[hi] + i * w, r, q))
-        return _Bundle(
-            monic, partial(_low_basis, ring, x, k), partial(_low_basis, ring, x, 1), tuple(spans)
-        )
-    return _trivial_bundle(P)
+        return _Bundle(ring, monic, tuple(spans))
+    one = (0,) * len(ring)
+    spans = tuple((hi, one, D, h.terms, {}) for hi, (h, D) in enumerate(zip(P.relations, degrees)))
+    return _Bundle(ring, None, spans)
 
 
 class _Piece(NamedTuple):
@@ -344,20 +349,6 @@ def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
     return _lattice(_bundle(P), d).A
 
 
-# Pieces kept.  `ideal_equal` asks about the generators of one
-# presentation in turn, so the repeats of a piece come close together: at
-# the default `verify` grid 8 entries miss no more often than 32 or an
-# unbounded cache (411 builds for 411 distinct pieces, against 635
-# without the cache; the generators that are +-1 times a relation build
-# none) and hold about 0.1 MB.
-_PIECES = 8
-
-
-@lru_cache(maxsize=_PIECES)
-def _piece(P: Presentation, d: int) -> _Piece:
-    return _lattice(_bundle(P), d)
-
-
 def _unit_multiple(f, g) -> int:
     """1 when the nonzero term maps f and g are equal, -1 when f = -g,
     and 0 otherwise."""
@@ -402,7 +393,7 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
         q_f, r_f = {}, f.terms
     else:
         q_f, r_f = _divide(f.terms, B.g)
-    A, index, labels = _piece(P, d)
+    A, index, labels = B.piece(d)
     y = solve_in_row_lattice(A, _vector_of(r_f, index))
     if y is None:
         return None
@@ -481,7 +472,7 @@ def quotient_graded_invariants(P: Presentation, d: int) -> AbelianInvariants:
     """Abelian invariants of the degree-d piece of the quotient ring: the
     Smith form of `ideal_degree_matrix(P, d)`, the small piece over the
     bundle whenever a relation is monic.  It is built afresh, not read
-    from the piece cache: a `graded --deg-max D` run would evict every
-    piece that membership keeps, and `snf` has no use for the kept
-    Hermite form."""
+    from the pieces the bundle keeps: those stay as long as the bundle
+    does, so a `graded --deg-max D` run would hold every degree in
+    memory, and `snf` has no use for their labels or Hermite forms."""
     return snf(ideal_degree_matrix(P, d))

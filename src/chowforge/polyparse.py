@@ -91,6 +91,13 @@ class _Parser:
         self.k += 1
         return tok
 
+    def integer(self) -> int:
+        _, value, pos = self.advance()
+        try:
+            return int(value)
+        except ValueError:  # more digits than Python's int() takes from a string
+            raise ParseError("integer literal of %d digits is too long" % len(value), pos) from None
+
     def error(self, message: str):
         kind, value, pos = self.peek()
         shown = "end of input" if kind == "end" else repr(value)
@@ -127,18 +134,16 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            kind, value, pos = self.peek()
+            kind, _, pos = self.peek()
             if kind != "int":
                 raise ParseError("non-integer exponent", pos)
-            self.advance()
-            return base ** int(value)
+            return base ** self.integer()
         return base
 
     def atom(self) -> Polynomial:
         kind, value, pos = self.peek()
         if kind == "int":
-            self.advance()
-            return Polynomial.const(self.ring, int(value))
+            return Polynomial.const(self.ring, self.integer())
         if kind == "ident":
             if value not in self.ring:
                 raise ParseError("undeclared identifier %r" % value, pos)

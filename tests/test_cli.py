@@ -192,12 +192,14 @@ class TestGraded:
     @pytest.mark.parametrize("theorem, g, n", [("thm1.3", 8, 3), ("thm1.9", 21, 5)])
     def test_frozen_to_degree_30(self, capsys, theorem, g, n):
         # thm1.9 has no monic relation, so every piece is a Macaulay matrix
-        # (1620x256 at degree 30); the tables are frozen from the dense kernel
+        # (1620x256 at degree 30); the tables are frozen from the dense kernel,
+        # and degrees 0..30 are the first 31 lines of the degree-40 table
         code, out, _ = run(
             capsys, "graded", "--theorem", theorem, "--g", str(g), "--n", str(n), "--deg-max", "30"
         )
         assert code == 0
-        assert out == (DATA / ("graded-%s-g%d-n%d-d30.txt" % (theorem, g, n))).read_text()
+        frozen = (DATA / ("graded-%s-g%d-n%d-d40.txt" % (theorem, g, n))).read_text()
+        assert out == "".join(frozen.splitlines(keepends=True)[:31])
 
     @pytest.mark.parametrize("theorem, deg_max", [("thm1.3", 40), ("cor1.10", 20)])
     def test_frozen_over_the_bundle(self, capsys, theorem, deg_max):
@@ -271,6 +273,16 @@ class TestIdealEq:
         code, out, err = run(capsys, "ideal-eq", a, b)
         assert code == 2 and out == ""
         assert err.startswith("error: %s: line " % a)
+
+    @pytest.mark.parametrize("relation", ["2*t + %s*t", "t + t^%s"], ids=["coefficient", "exponent"])
+    def test_literal_beyond_the_int_string_limit_exit_2(self, capsys, tmp_path, relation):
+        # more digits than Python's int() takes from a string: a usage error
+        # that names the file, line and offset of the literal
+        a = self.write(tmp_path, "a.ideal", "ring: t:1\n" + relation % ("9" * 5000) + "\n")
+        b = self.write(tmp_path, "b.ideal", "ring: t:1\n2*t\n")
+        code, out, err = run(capsys, "ideal-eq", b, a)
+        assert code == 2 and out == ""
+        assert err == "error: %s: line 2, offset 16: integer literal of 5000 digits is too long\n" % a
 
     @pytest.mark.parametrize(
         "a, b, code, expected",
@@ -475,12 +487,51 @@ class TestVerify:
             built.append(d)
             return original(B, d)
 
-        grideal._piece.cache_clear()
+        grideal._bundle.cache_clear()
         monkeypatch.setattr(grideal, "_lattice", counting)
         code, out, _ = run(capsys, "verify", "--suite", "remark37", "--ab-max", "3", "--jobs", "1")
         assert code == 1 and "18 checks, 9 failed" in out
         # both checks of an (a, b) ask about its degree-2 piece
         assert built == [2] * 9
+
+    def test_each_membership_piece_built_once(self, capsys, monkeypatch):
+        from collections import Counter
+
+        from chowforge import grideal
+
+        owners = {}  # bundle -> presentation; holding each bundle keeps its id
+        asked = set()  # the (presentation, degree) pairs that reach a piece
+        built = []  # the pair of each piece built for membership
+        inside = []  # the pair whose piece is being asked for
+        bundle, piece, lattice = grideal._bundle, grideal._Bundle.piece, grideal._lattice
+
+        def owned(P):
+            B = bundle(P)
+            owners[B] = P
+            return B
+
+        def asking(B, d):
+            inside.append((owners[B], d))
+            asked.add(inside[-1])
+            try:
+                return piece(B, d)
+            finally:
+                inside.pop()
+
+        def counting(B, d):
+            if inside:  # ideal_degree_matrix builds its pieces outside `piece`
+                built.append(inside[-1])
+            return lattice(B, d)
+
+        grideal._bundle.cache_clear()
+        monkeypatch.setattr(grideal, "_bundle", owned)
+        monkeypatch.setattr(grideal._Bundle, "piece", asking)
+        monkeypatch.setattr(grideal, "_lattice", counting)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--g-max", "6", "--ab-max", "3", "--jobs", "1"
+        )
+        assert code == 1 and "\n63 checks, 9 failed\n" in out
+        assert asked and Counter(built) == Counter(asked)
 
     def test_each_point_builds_its_classes_once(self, capsys):
         from chowforge import catalog
@@ -519,6 +570,14 @@ class TestVerify:
         assert run(capsys, "verify", "--suite", "bogus")[0] == 2
         assert run(capsys, "verify", "--g-max", "1")[0] == 2
         assert run(capsys, "verify", "--jobs", "0")[0] == 2
+
+    @pytest.mark.parametrize("relation", ["2*t + %s*t", "t + t^%s"], ids=["coefficient", "exponent"])
+    def test_external_literal_beyond_the_int_string_limit_exit_2(self, capsys, tmp_path, relation):
+        long = tmp_path / "long.ideal"
+        long.write_text("ring: t:1\n" + relation % ("9" * 5000) + "\n")
+        code, out, err = run(capsys, "verify", "--external", str(long))
+        assert code == 2 and out == ""
+        assert err == "error: %s: line 2, offset 16: integer literal of 5000 digits is too long\n" % long
 
     def test_external_file_validation(self, capsys, tmp_path):
         good = tmp_path / "good.ideal"

@@ -28,14 +28,13 @@ def V(ring, name):
 
 
 def clear_caches():
-    grideal._piece.cache_clear()
     grideal._bundle.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with an empty piece cache, so a test that checks
-    which route or kernel runs sees it run rather than a cached piece."""
+    """Each test starts with an empty bundle cache, so a test that checks
+    which route or kernel runs sees it run rather than a kept piece."""
     clear_caches()
 
 
@@ -101,7 +100,18 @@ class TestMonomialBasis:
             for below in (1, 2, 3):
                 for d in range(15):
                     filtered = [e for e in monomial_basis(R, d) if e[x] < below]
-                    assert list(grideal._low_basis(R, x, below, d)) == filtered
+                    assert list(grideal._basis(R, x, below, d)) == filtered
+                    # x = None is the full basis, whatever `below` is
+                    assert list(grideal._basis(R, None, below, d)) == monomial_basis(R, d)
+
+    def test_returned_list_is_a_copy(self):
+        basis = monomial_basis(RING, 2)
+        expected = list(basis)
+        basis.append((9, 9, 9))
+        basis[0] = (0, 0, 0)
+        basis.reverse()
+        assert monomial_basis(RING, 2) == expected
+        assert list(grideal._basis(RING, None, 0, 2)) == expected
 
 
 class TestDegreeMatrix:
@@ -227,15 +237,15 @@ class TestPieceCache:
     def test_a_piece_is_built_once(self, monkeypatch):
         P, ptilde = _lemma34_ideal(4)
         built = []
-        original = grideal._low_basis
+        original = grideal._lattice
 
-        def counting(ring, x, below, d):
-            built.append((below, d))
-            return original(ring, x, below, d)
+        def counting(B, d):
+            built.append(d)
+            return original(B, d)
 
-        monkeypatch.setattr(grideal, "_low_basis", counting)
+        monkeypatch.setattr(grideal, "_lattice", counting)
         certs = [contains(P, ptilde) for _ in range(3)]
-        assert built.count((grideal._bundle(P).g.k, 9)) == 1
+        assert built == [9]
         assert len({str(c) for c in certs}) == 1
 
     def test_eviction_keeps_answers(self):
@@ -243,7 +253,8 @@ class TestPieceCache:
         t1 = V(ideals[0][0].ring, "t1")
         t, c1, c2 = (V(RING, n) for n in RING.names)
         # more distinct presentations than the cache holds, on both routes
-        ks = range(2, 3 + grideal._PIECES)
+        size = grideal._bundle.cache_info().maxsize
+        ks = range(2, 3 + size)
         extra = [Presentation(RING, [k * t, c2 - c1 ** 2 + k * t * c1]) for k in ks]
         extra += [Presentation(RING, [k * t, 4 * c2 - 3 * c1 ** 2]) for k in ks]
         assert grideal._bundle(extra[0]).g is not None and grideal._bundle(extra[-1]).g is None
@@ -253,10 +264,10 @@ class TestPieceCache:
                 # c1*g, not g: a generator itself is answered without a piece
                 assert contains(Q, c1 * g) is not None
             assert contains(Q, c1 ** 2 * c2) is None
-        assert grideal._piece.cache_info().misses > grideal._PIECES
+        assert grideal._bundle.cache_info().misses > size
         assert [_certificate_key(contains(P, f)) for P, f in ideals] == first
         assert all(contains(P, t1 ** (2 * j + 1)) is None for j, (P, _) in enumerate(ideals, 1))
-        assert grideal._piece.cache_info().currsize <= grideal._PIECES
+        assert grideal._bundle.cache_info().currsize <= size
 
 
 class TestIdealEqual:

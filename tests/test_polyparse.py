@@ -67,6 +67,15 @@ class TestParsePoly:
         with pytest.raises(ParseError, match="trailing"):
             parse_poly("t t", RING)
 
+    @pytest.mark.parametrize("src, pos", [("2*t + %s*t", 6), ("t + t^%s", 6)], ids=["atom", "power"])
+    def test_literal_beyond_the_int_string_limit(self, src, pos):
+        # Python's int() refuses a string of more than 4300 digits
+        long = "9" * 5000
+        with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as err:
+            parse_poly(src % long, RING)
+        assert err.value.pos == pos
+        assert parse_poly(src % long[:4300], RING).terms
+
     @pytest.mark.parametrize(
         "src, pos",
         [("t*\u00b2", 2), ("t^\u00b2", 2), ("\u0663*t", 0), ("t\u00b2", 1), ("c1\u0663", 2), ("2\u0663", 1)],
@@ -108,6 +117,11 @@ class TestIdealFile:
         with pytest.raises(ParseError) as err:
             parse_ideal_file(src)
         assert err.value.line == 3
+
+    def test_literal_beyond_the_int_string_limit(self):
+        with pytest.raises(ParseError, match="5000 digits is too long") as err:
+            parse_ideal_file("ring: t:1\n2*t\nt^2 - %s*t^2\n" % ("1" * 5000))
+        assert err.value.line == 3 and err.value.pos == len("ring: t:1\n2*t\nt^2 - ")
 
     def test_header_validation(self):
         with pytest.raises(ParseError):
