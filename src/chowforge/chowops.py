@@ -121,7 +121,12 @@ def to_invariants(p: Polynomial, target: RingSpec | None = None) -> Polynomial:
     """Rewrite a polynomial symmetric in t1, t2 in terms of c1 = t1+t2 and
     c2 = t1*t2, leaving the other variables alone.
 
-    Raises SymmetricConversionError when a nonzero remainder is left.
+    This is the leading-term reduction of symmetric polynomials
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 7.1):
+    while p is nonzero, its term m*t1^a*t2^b with the largest (a, b)
+    leads, m*(t1+t2)^(a-b)*(t1*t2)^b is subtracted from p and
+    m*c1^(a-b)*c2^b is recorded.  Raises SymmetricConversionError when a
+    leading term has a < b, which leaves a nonzero remainder.
     """
     src = p.ring
     if "t1" not in src or "t2" not in src:
@@ -130,51 +135,26 @@ def to_invariants(p: Polynomial, target: RingSpec | None = None) -> Polynomial:
     others = [(n, w) for n, w in zip(src.names, src.weights) if n not in ("t1", "t2")]
     if target is None:
         target = ring_make(others).with_var("c1", 1).with_var("c2", 2)
-    pos = {n: target.index(n) for n, _ in others}
+    pos = [(src.index(n), target.index(n)) for n, _ in others]
     j1, j2 = target.index("c1"), target.index("c2")
-
-    # split off the t1,t2 part of each term, keyed by the other exponents
-    groups: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for exps, coeff in p.terms.items():
-        rest = tuple(e for k, e in enumerate(exps) if k not in (i1, i2))
-        groups.setdefault(rest, {})[(exps[i1], exps[i2])] = coeff
-
+    t1, t2 = Polynomial.var(src, "t1"), Polynomial.var(src, "t2")
     out: dict[tuple[int, ...], int] = {}
-    rest_names = [n for n, _ in others]
-    for rest, part in groups.items():
-        # reduce the two-variable symmetric part against s = t1+t2, e = t1*t2
-        work = dict(part)
-        while work:
-            (a, b) = max(work)  # lex-leading exponent pair
-            coeff = work[(a, b)]
-            if a < b:
-                raise SymmetricConversionError(
-                    "not symmetric in t1, t2 (leading term t1^%d*t2^%d)" % (a, b)
-                )
-            # subtract coeff * s^(a-b) * e^b, expanded via binomials
-            sa, eb = a - b, b
-            poly: dict[tuple[int, int], int] = {}
-            binom = 1
-            for k in range(sa + 1):
-                poly[(sa - k + eb, k + eb)] = binom
-                binom = binom * (sa - k) // (k + 1)
-            for key, c in poly.items():
-                nc = work.get(key, 0) - coeff * c
-                if nc:
-                    work[key] = nc
-                else:
-                    work.pop(key, None)
-            texps = [0] * len(target)
-            for n, e in zip(rest_names, rest):
-                texps[pos[n]] = e
-            texps[j1] += sa
-            texps[j2] += eb
-            key = tuple(texps)
-            nc = out.get(key, 0) + coeff
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
+    while p:
+        exps = max(p.terms, key=lambda e: (e[i1], e[i2]))
+        a, b, coeff = exps[i1], exps[i2], p.terms[exps]
+        if a < b:
+            raise SymmetricConversionError(
+                "not symmetric in t1, t2 (leading term t1^%d*t2^%d)" % (a, b)
+            )
+        m = tuple(0 if i in (i1, i2) else e for i, e in enumerate(exps))
+        p = p - Polynomial._trusted(src, {m: coeff}) * (t1 + t2) ** (a - b) * (t1 * t2) ** b
+        texps = [0] * len(target)
+        for i, j in pos:
+            texps[j] = exps[i]
+        texps[j1] += a - b
+        texps[j2] += b
+        key = tuple(texps)
+        out[key] = out.get(key, 0) + coeff
     return Polynomial(target, out)
 
 

@@ -9,9 +9,10 @@ degree k in one variable x, the projective bundle formula (Fulton,
 Intersection Theory, Thm 3.3(b) and Ex. 8.3.4) makes the quotient by g a
 free module over the ring of the other variables, with basis
 1, x, ..., x^(k-1), whose degree-d piece is far smaller than the
-Macaulay matrix of all degree-d multiples of the relations.  With no
-monic relation the bundle is trivial: the ring is free over itself with
-basis {1}, and the same lattice builder gives the Macaulay matrix.
+Macaulay matrix of all degree-d multiples of the relations.  Of the
+monic relations, the one of least k is taken.  With no monic relation
+the bundle is trivial: the ring is free over itself with basis {1}, and
+the same lattice builder gives the Macaulay matrix.
 
 The graded invariants of the quotient are read from the same piece:
 R/I is the quotient of R/(g) by the image of I, so the degree-d piece
@@ -261,44 +262,47 @@ class _Bundle:
 
 @lru_cache(maxsize=8)
 def _bundle(P: Presentation) -> _Bundle:
-    """The bundle of the first relation g of positive degree, in relation
-    order, that is monic in a variable x, the first such variable in ring
-    order; the trivial bundle when no relation is.  Monic means a pure
-    power x^k with coefficient +-1 and k*weight(x) = deg g, so by
-    homogeneity no other term of g reaches x-degree k.  The spans are the
-    nonzero remainders of x^i*h for each other relation h and i < k.
+    """The bundle of the relation g of positive degree that is monic of
+    least degree k in a variable x, the first such relation in relation
+    order and then the first such variable in ring order on ties; the
+    trivial bundle when no relation is monic.  Monic means that g has a
+    term x^k with coefficient +-1; by homogeneity k*weight(x) = deg g,
+    and no other term of g reaches x-degree k.  The least k leaves the
+    fewest columns: a linear relation (k = 1) eliminates x outright.
+    The spans are the nonzero remainders of x^i*h for each other
+    relation h and i < k.
     This is the one cache of presentation state, and it is small: a
     `verify` grid point asks about a few presentations at a time, so 8
     bundles build no more pieces than 16 did (411 at the default grid,
     3051 at the stretched one), and a long run keeps few pieces."""
     ring = P.ring
     degrees = [ring.exponent_degree(next(iter(g.terms))) for g in P.relations]
-    for gi, (g, D) in enumerate(zip(P.relations, degrees)):
-        if D == 0:
+    last = len(ring) - 1
+    found = [  # (k, relation, variable, x^k) for each monic pure power x^k
+        (max(e), gi, e.index(max(e)), e)
+        for gi, g in enumerate(P.relations)
+        for e, c in g.terms.items()
+        if c in (1, -1) and e.count(0) == last
+    ]
+    if not found:
+        one = (0,) * len(ring)
+        spans = tuple((hi, one, D, h.terms, {}) for hi, (h, D) in enumerate(zip(P.relations, degrees)))
+        return _Bundle(ring, None, spans)
+    k, gi, x, pure = min(found)  # least k, then relation order, then ring order
+    g = P.relations[gi]
+    tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
+    monic = _Monic(gi, x, k, g.terms[pure], tail)
+    spans = []
+    for hi, h in enumerate(P.relations):
+        if hi == gi:
             continue
-        for x, w in enumerate(ring.weights):
-            k, rest = divmod(D, w)
-            pure = (0,) * x + (k,) + (0,) * (len(ring) - x - 1)
-            if rest == 0 and g.terms.get(pure) in (1, -1):
-                break
-        else:
-            continue
-        tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
-        monic = _Monic(gi, x, k, g.terms[pure], tail)
-        spans = []
-        for hi, h in enumerate(P.relations):
-            if hi == gi:
-                continue
-            for i in range(k):
-                shift = pure[:x] + (i,) + pure[x + 1 :]
-                shifted = {tuple(map(add, ex, shift)): c for ex, c in h.terms.items()}
-                q, r = _divide(shifted, monic)
-                if r:
-                    spans.append((hi, shift, degrees[hi] + i * w, r, q))
-        return _Bundle(ring, monic, tuple(spans))
-    one = (0,) * len(ring)
-    spans = tuple((hi, one, D, h.terms, {}) for hi, (h, D) in enumerate(zip(P.relations, degrees)))
-    return _Bundle(ring, None, spans)
+        for i in range(k):
+            shift = pure[:x] + (i,) + pure[x + 1 :]
+            shifted = {tuple(map(add, ex, shift)): c for ex, c in h.terms.items()}
+            q, r = _divide(shifted, monic)
+            if r:
+                spans.append((hi, shift, degrees[hi] + i * ring.weights[x], r, q))
+    return _Bundle(ring, monic, tuple(spans))
 
 
 class _Piece(NamedTuple):

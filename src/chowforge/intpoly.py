@@ -356,8 +356,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        # an integer scales the coefficients, and a single term shifts the
-        # other factor's exponents; neither can cancel a term
+        # an integer scales the coefficients and cannot cancel a term
         if isinstance(other, int):
             k = operator.index(other)
             terms = {e: c * k for e, c in self.terms.items()} if k else {}
@@ -365,14 +364,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) != 1:
-            return Polynomial._trusted(self.ring, _product(a, b))
-        ((m, k),) = a.items()
-        terms = {tuple(map(add, e, m)): c * k for e, c in b.items()}
-        return Polynomial._trusted(self.ring, terms)
+        return Polynomial._trusted(self.ring, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 

@@ -20,6 +20,8 @@ ignored.  Every relation must be homogeneous under the declared weights.
 
 from __future__ import annotations
 
+from math import comb
+
 from .intpoly import NotHomogeneousError, Polynomial, RingSpec, ring_make
 
 __all__ = [
@@ -43,6 +45,11 @@ class ParseError(ValueError):
 
 
 _OPS = "+-*^()"
+
+# A power of a base of m terms to the n has up to C(n + m - 1, m - 1)
+# terms; a power predicted to have more is refused before it is expanded.
+# At this bound (t + c1)^1999 takes about a second.
+_MAX_POWER_TERMS = 2000
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -131,13 +138,21 @@ class _Parser:
         return self.power()
 
     def power(self) -> Polynomial:
+        start = self.peek()[2]
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
             kind, _, pos = self.peek()
             if kind != "int":
                 raise ParseError("non-integer exponent", pos)
-            return base ** self.integer()
+            n, m = self.integer(), len(base.terms)
+            # for m > 1 the count is at least n + 1, so a large n needs no comb
+            if m > 1 and (n > _MAX_POWER_TERMS or comb(n + m - 1, n) > _MAX_POWER_TERMS):
+                raise ParseError(
+                    "power of a %d-term base would have more than %d terms" % (m, _MAX_POWER_TERMS),
+                    start,
+                )
+            return base ** n
         return base
 
     def atom(self) -> Polynomial:

@@ -1,6 +1,7 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowforge.chowops import (
     ChernRootSet,
@@ -141,6 +142,28 @@ def test_symmetric_conversion_rejects_asymmetry():
     R = torus_ring()
     with pytest.raises(SymmetricConversionError):
         to_invariants(V(R, "t1"))
+
+
+INV = ring_make([("t", 1), ("c1", 1), ("c2", 2), ("xi1", 1)])
+ROOTS = ring_make([("t", 1), ("xi1", 1)]).with_var("t1", 1).with_var("t2", 1)
+_inv_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4), st.integers(-9, 9), max_size=6
+).map(lambda d: Polynomial(INV, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_inv_polys)
+def test_symmetric_conversion_inverts_the_root_expansion(g):
+    """Expanding g in the Chern roots (c1 -> t1 + t2, c2 -> t1*t2) and
+    rewriting the result in c1, c2 gives g back; a term that is not
+    symmetric in t1, t2 makes the rewrite fail."""
+    t1, t2 = V(ROOTS, "t1"), V(ROOTS, "t2")
+    images = {"t": V(ROOTS, "t"), "xi1": V(ROOTS, "xi1"), "c1": t1 + t2, "c2": t1 * t2}
+    expanded = g.substitute(images, ROOTS)
+    assert to_invariants(expanded) == g
+    assert to_invariants(expanded, INV) == g
+    with pytest.raises(SymmetricConversionError):
+        to_invariants(expanded + t1 * V(ROOTS, "xi1"))
 
 
 class TestAdjoinGenerator:

@@ -284,6 +284,25 @@ class TestIdealEq:
         assert code == 2 and out == ""
         assert err == "error: %s: line 2, offset 16: integer literal of 5000 digits is too long\n" % a
 
+    def test_power_beyond_the_term_bound_exit_2(self, tmp_path):
+        # a short relation whose expansion would run unbounded is a usage
+        # error, reported at once by a fresh process
+        a = self.write(tmp_path, "a.ideal", "ring: t:1, c1:1\n2*t\nt^2 - (t + c1)^9999\n")
+        b = self.write(tmp_path, "b.ideal", "ring: t:1, c1:1\n2*t\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "chowforge.cli", "ideal-eq", b, a],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        offset = len("ring: t:1, c1:1\n2*t\nt^2 - ")
+        assert done.stderr == (
+            "error: %s: line 3, offset %d: power of a 2-term base would have more than 2000 terms\n"
+            % (a, offset)
+        )
+
     @pytest.mark.parametrize(
         "a, b, code, expected",
         [

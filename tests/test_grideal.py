@@ -675,13 +675,24 @@ class TestBundleEdges:
     def test_relation_monic_in_a_weight_two_variable(self):
         R = ring_make([("c1", 1), ("c2", 2)])
         c1, c2 = V(R, "c1"), V(R, "c2")
-        for g, var in ((c2 - c1 ** 2, "c1"), (c2 - 3 * c1 ** 2, "c2")):
+        # c2 - c1^2 is monic in c1 (k = 2) and in c2 (k = 1): the least k wins
+        for g, var in ((c2 - c1 ** 2, "c2"), (c2 - 3 * c1 ** 2, "c2")):
             P = Presentation(R, [g, 2 * c1])
             assert grideal._bundle(P).g.x == R.index(var)
             for f in (2 * c2, c2, c1 * c2, 2 * c1 * c2 + c1 ** 3, c2 ** 2):
                 assert (contains(P, f) is not None) == oracle_member(P, f)
             assert contains(P, 2 * c2) is not None
             assert contains(P, c2) is None
+
+    @pytest.mark.parametrize("g, n", [(8, 3), (4, 2)])
+    def test_cor110_bundle_is_the_linear_relation_in_t(self, g, n):
+        # the root relation (-t + 2u - c1, or -t + 2u for even n) is monic of
+        # degree 1 in t, so it wins over the earlier relations monic in t^2
+        P = catalog.cor_1_10_presentation(g, n)
+        B = grideal._bundle(P)
+        assert (B.g.gi, P.ring.names[B.g.x], B.g.k) == (len(P.relations) - 1, "t", 1)
+        assert B.g.sign == -1 and B.g.tail
+        assert any(r.terms.get((2, 0, 0, 0)) == 1 for r in P.relations[: B.g.gi])
 
     def test_member_below_the_monic_degree(self):
         t, c1 = V(RING, "t"), V(RING, "c1")

@@ -371,8 +371,9 @@ def test_arithmetic_results_are_well_formed(p, q, c, k, m, flag):
 @settings(max_examples=500, deadline=None)
 @given(_polys, _polys, _single_terms)
 def test_short_routes_match_general_product(p, q, m):
-    """Products by an integer or a single term, and subtraction, against
-    the double loop of _product and against p + (-q)."""
+    """Products by an integer, and subtraction, against the double loop
+    of _product and against p + (-q); a product with a single-term factor
+    is _product itself, and its operands may come in either order."""
     zero = Polynomial.zero(RING)
     for a, b in ((p, m), (m, p), (zero, m), (m, zero), (m, m)):
         assert a * b == Polynomial(RING, _product(a.terms, b.terms))

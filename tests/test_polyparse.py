@@ -77,6 +77,24 @@ class TestParsePoly:
         assert parse_poly(src % long[:4300], RING).terms
 
     @pytest.mark.parametrize(
+        "src, pos, base",
+        [("t + (t + c1)^9999", 4, 2), ("t*(t + c1 + c2)^62", 2, 3), ("-(t - c1)^2000", 1, 2)],
+    )
+    def test_power_beyond_the_term_bound(self, src, pos, base):
+        # a base of m terms to the n predicts C(n + m - 1, m - 1) terms
+        with pytest.raises(ParseError, match="power of a %d-term base would have more" % base) as err:
+            parse_poly(src, RING)
+        assert err.value.pos == pos
+
+    def test_power_at_the_term_bound(self):
+        # C(61 + 2, 2) = 1953 terms are allowed, C(62 + 2, 2) = 2016 are not
+        assert len(parse_poly("(t + c1 + c2)^61", RING).terms) == 1953
+        # a single term is never refused, nor is a power of zero terms
+        assert parse_poly("(2*t*c1)^300", RING) == (2 * V(RING, "t") * V(RING, "c1")) ** 300
+        assert parse_poly("(t - t)^99999", RING).is_zero()
+        assert parse_poly("(t + c1)^0", RING) == Polynomial.const(RING, 1)
+
+    @pytest.mark.parametrize(
         "src, pos",
         [("t*\u00b2", 2), ("t^\u00b2", 2), ("\u0663*t", 0), ("t\u00b2", 1), ("c1\u0663", 2), ("2\u0663", 1)],
         ids=["superscript-factor", "superscript-exponent", "arabic-indic-literal",
