@@ -62,9 +62,6 @@ class Params(NamedTuple):
     a: int | None = None
     b: int | None = None
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
     def sort_key(self) -> tuple:
         return tuple(-1 if x is None else x for x in self)
 

@@ -10,14 +10,14 @@ user-supplied ideal files).
 Exit codes: 0 = all checks pass / equality holds, 1 = a check failed or
 the ideals differ, 2 = usage or parse error, 3 = an unexpected error (the
 traceback goes to stderr).  Identical invocations
-produce byte-identical output; ``--jobs`` changes wall time only.
+produce byte-identical output; ``--jobs`` changes wall time only, and
+each worker runs one contiguous share of the grid points.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from typing import NamedTuple
@@ -75,7 +75,7 @@ def _build_presentation(theorem: str, args) -> tuple[Presentation, Params]:
 def _cmd_present(args) -> int:
     P, params = _build_presentation(args.theorem, args)
     if args.format == "json":
-        doc = {"theorem": args.theorem, "params": params.as_dict()}
+        doc = {"theorem": args.theorem, "params": params._asdict()}
         doc.update(_presentation_json(P))
         print(json.dumps(doc, separators=(",", ":")))
     else:
@@ -150,7 +150,7 @@ class CheckReport(NamedTuple):
 
     def json_line(self) -> str:
         # the keys in field order, with the parameters as an object
-        doc = dict(self._asdict(), params=self.params.as_dict())
+        doc = dict(self._asdict(), params=self.params._asdict())
         return json.dumps(doc, separators=(",", ":"))
 
     def text_line(self) -> str:
@@ -265,7 +265,9 @@ _CHECKS = {
 def _grid_batches(suite: str, g_max: int, ab_max: int) -> list[list[tuple[str, Params]]]:
     """The (check id, params) tasks of a suite, one batch per grid point.
     The checks of a batch run back to back in one process, so that they
-    share its derivation and its degree pieces."""
+    share its derivation and its degree pieces; under ``--jobs`` each
+    worker runs one contiguous share of the batches, so that what it keeps
+    serves neighbouring grid points."""
     grids = {
         None: [Params()],
         "ab": [Params(a=a, b=b) for a in range(1, ab_max + 1) for b in range(1, ab_max + 1)],
@@ -325,28 +327,22 @@ def _external_reports(path: str) -> list[CheckReport]:
 def _cmd_verify(args) -> int:
     if args.g_max < 2 or args.ab_max < 1:
         raise ParamError("--g-max must be >= 2 and --ab-max >= 1")
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("CHOWFORGE_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ParamError("CHOWFORGE_JOBS must be an integer, not %r" % env) from None
-    if jobs < 1:
+    if args.jobs < 1:
         raise ParamError("--jobs must be >= 1")
     if args.external is not None:
         return _emit_reports(_external_reports(args.external), args.format)
     batches = _grid_batches(args.suite, args.g_max, args.ab_max)
-    if jobs == 1 or len(batches) <= 1:
+    workers = min(args.jobs, len(batches))
+    if workers <= 1:
         done = map(_run_batch, batches)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs above 1 loads it
 
-        workers = min(jobs, len(batches))
-        chunk = -(-len(batches) // (4 * workers))  # about four chunks per worker
-        # the fork start method forks every worker up front
+        # one contiguous share of grid points per worker; the fork start
+        # method forks every worker up front
+        share = -(-len(batches) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_batch, batches, chunksize=chunk))
+            done = list(pool.map(_run_batch, batches, chunksize=share))
     reports = sorted(
         (r for batch in done for r in batch),
         key=lambda r: (r.check_id, r.params.sort_key()),
@@ -413,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--g-max", type=int, default=20)
     p.add_argument("--ab-max", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument(
         "--external",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "RingSpec",
@@ -392,9 +392,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self.sorted_terms())
 
     # -- serialization ---------------------------------------------------
 

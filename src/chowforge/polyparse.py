@@ -20,6 +20,7 @@ ignored.  Every relation must be homogeneous under the declared weights.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 
 from .intpoly import NotHomogeneousError, Polynomial, RingSpec, ring_make
@@ -152,6 +153,17 @@ class _Parser:
                     "power of a %d-term base would have more than %d terms" % (m, _MAX_POWER_TERMS),
                     start,
                 )
+            if m == 1:
+                # a term c*x to the n has the coefficient c^n, at least
+                # 2^(n * (bits of c - 1)); refuse it before it is expanded
+                # when that passes 10^limit, the least int Python will not print
+                (c,) = base.terms.values()
+                bits = n * (abs(c).bit_length() - 1)
+                limit = sys.get_int_max_str_digits()
+                if bits and limit and bits >= (10 ** limit).bit_length():
+                    raise ParseError(
+                        "power would have a coefficient of more than %d digits" % limit, start
+                    )
             return base ** n
         return base
 
@@ -211,7 +223,10 @@ def _parse_ring_header(body: str, lineno: int, offset: int) -> RingSpec:
 
 
 def parse_ideal_file(src: str) -> tuple[RingSpec, list[Polynomial]]:
-    """Parse an ideal file: ring header, then one homogeneous relation per line."""
+    """Parse an ideal file: ring header, then one homogeneous relation per
+    line, each with coefficients that Python can print."""
+    limit = sys.get_int_max_str_digits()
+    too_long = 10 ** limit  # the least int of more than limit digits
     ring: RingSpec | None = None
     relations: list[Polynomial] = []
     offset = 0
@@ -239,6 +254,10 @@ def parse_ideal_file(src: str) -> tuple[RingSpec, list[Polynomial]]:
                             offset,
                             lineno,
                         ) from None
+                if limit and any(abs(c) >= too_long for c in p.terms.values()):
+                    raise ParseError(
+                        "coefficient of more than %d digits" % limit, offset, lineno
+                    )
                 relations.append(p)
         offset += len(raw) + 1
     if ring is None:

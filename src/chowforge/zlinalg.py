@@ -58,14 +58,6 @@ class IntMatrix:
             cols = len(rows[0])
         return IntMatrix(len(rows), cols, rows)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -113,9 +105,6 @@ class AbelianInvariants(_AbelianInvariants):
                 raise ValueError("divisibility chain broken: %d does not divide %d" % (prev, d))
             prev = d
         return super().__new__(cls, free_rank, torsion)
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = []

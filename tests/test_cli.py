@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh(*argv, **kw):
+    """A fresh interpreter run on this checkout's sources."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, **kw)
+
+
 class TestPresent:
     def test_thm13_text(self, capsys):
         code, out, _ = run(
@@ -289,13 +297,7 @@ class TestIdealEq:
         # error, reported at once by a fresh process
         a = self.write(tmp_path, "a.ideal", "ring: t:1, c1:1\n2*t\nt^2 - (t + c1)^9999\n")
         b = self.write(tmp_path, "b.ideal", "ring: t:1, c1:1\n2*t\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "chowforge.cli", "ideal-eq", b, a],
-            env=env, capture_output=True, text=True, timeout=10,
-        )
+        done = fresh("-m", "chowforge.cli", "ideal-eq", b, a, timeout=10)
         assert done.returncode == 2 and done.stdout == ""
         offset = len("ring: t:1, c1:1\n2*t\nt^2 - ")
         assert done.stderr == (
@@ -430,25 +432,21 @@ class TestVerify:
         _, out3, _ = run(capsys, *args, "--jobs", "2")
         assert out3 == out1
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHOWFORGE_JOBS", "2")
+    def test_jobs_has_no_environment_default(self, capsys, monkeypatch):
+        # --jobs is the one setting of the worker count
         args = ("verify", "--suite", "identities", "--ab-max", "2")
-        code, out, _ = run(capsys, *args)
-        assert code == 0
-        monkeypatch.delenv("CHOWFORGE_JOBS")
-        _, out_serial, _ = run(capsys, *args)
-        assert out == out_serial
-
+        serial = run(capsys, *args)
+        assert serial[0] == 0
         monkeypatch.setenv("CHOWFORGE_JOBS", "abc")
-        code, out, err = run(capsys, *args)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "CHOWFORGE_JOBS" in err
+        assert run(capsys, *args) == serial
 
     def test_pool_capped_at_task_count(self, capsys, monkeypatch):
         class FakePool:
-            """Records the pool size and runs the tasks in this process."""
+            """Records the pool size and the chunk size, and runs the tasks
+            in this process."""
 
             sizes = []
+            chunks = []
 
             def __init__(self, max_workers):
                 self.sizes.append(max_workers)
@@ -460,6 +458,7 @@ class TestVerify:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                self.chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
@@ -471,6 +470,11 @@ class TestVerify:
         assert FakePool.sizes == [2]
         assert run(capsys, *args, "--jobs", "3")[1] == out
         assert FakePool.sizes == [2, 2]
+        assert FakePool.chunks == [1, 1]
+        # 5 grid points on 2 workers: one contiguous share of 3 and one of 2
+        args = ("verify", "--suite", "identities", "--ab-max", "2")
+        assert run(capsys, *args, "--jobs", "2")[0] == 0
+        assert FakePool.sizes[-1] == 2 and FakePool.chunks[-1] == 3
 
     def test_jobs_change_no_byte(self, capsys):
         args = ("verify", "--suite", "all", "--g-max", "6", "--ab-max", "2", "--format", "json")
@@ -598,6 +602,23 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: %s: line 2, offset 16: integer literal of 5000 digits is too long\n" % long
 
+    @pytest.mark.parametrize(
+        "relation", ["2^20000*t", "(2*t)^9999999999", "2^9999999999"], ids=["printed", "term", "integer"]
+    )
+    def test_external_coefficient_beyond_the_int_string_limit_exit_2(self, tmp_path, relation):
+        # a coefficient of more digits than Python prints (2^20000 has 6021)
+        # is a usage error at the power, not a traceback from printing the
+        # relation; one that would take gigabytes is refused before it is
+        # expanded, so a fresh process exits at once
+        big = tmp_path / "big.ideal"
+        big.write_text("ring: t:1\n%s\n" % relation)
+        done = fresh("-m", "chowforge.cli", "verify", "--external", str(big), timeout=10)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            "error: %s: line 2, offset 10: power would have a coefficient of more than 4300 digits\n"
+            % big
+        )
+
     def test_external_file_validation(self, capsys, tmp_path):
         good = tmp_path / "good.ideal"
         good.write_text("ring: t:1, c1:1, c2:2\n2*t\n4*c2 - c1^2\n")
@@ -651,10 +672,5 @@ def test_import_loads_no_on_demand_module(module):
         "import sys; before = set(sys.modules); import %s; "
         "print(sorted(set(%r) & (set(sys.modules) - before)))" % (module, ON_DEMAND)
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    out = fresh("-c", code, check=True).stdout
     assert out == "[]\n"

@@ -86,11 +86,23 @@ class TestParsePoly:
             parse_poly(src, RING)
         assert err.value.pos == pos
 
+    @pytest.mark.parametrize(
+        "src, pos",
+        [("(2*t)^9999999999", 0), ("2^9999999999", 0), ("t + (-3*t)^9999999999", 4), ("2^14285*t", 0)],
+    )
+    def test_power_beyond_the_int_string_limit(self, src, pos):
+        # c^n is refused from n and the bits of c, before it is expanded
+        with pytest.raises(ParseError, match="power would have a coefficient of more than 4300 digits") as err:
+            parse_poly(src, RING)
+        assert err.value.pos == pos
+
     def test_power_at_the_term_bound(self):
         # C(61 + 2, 2) = 1953 terms are allowed, C(62 + 2, 2) = 2016 are not
         assert len(parse_poly("(t + c1 + c2)^61", RING).terms) == 1953
-        # a single term is never refused, nor is a power of zero terms
+        # the term bound never refuses a single term, nor a power of zero terms
         assert parse_poly("(2*t*c1)^300", RING) == (2 * V(RING, "t") * V(RING, "c1")) ** 300
+        # 2^14284 has 4300 digits, as many as Python prints; 2^14285 is refused
+        assert parse_poly("2^14284*t", RING) == 2 ** 14284 * V(RING, "t")
         assert parse_poly("(t - t)^99999", RING).is_zero()
         assert parse_poly("(t + c1)^0", RING) == Polynomial.const(RING, 1)
 
@@ -140,6 +152,14 @@ class TestIdealFile:
         with pytest.raises(ParseError, match="5000 digits is too long") as err:
             parse_ideal_file("ring: t:1\n2*t\nt^2 - %s*t^2\n" % ("1" * 5000))
         assert err.value.line == 3 and err.value.pos == len("ring: t:1\n2*t\nt^2 - ")
+
+    def test_coefficient_beyond_the_int_string_limit(self):
+        # each power has 3817 digits, their product 7634: refused at its line
+        with pytest.raises(ParseError, match="coefficient of more than 4300 digits") as err:
+            parse_ideal_file("ring: t:1\n2*t\n9^4000*9^4000*t\n")
+        assert err.value.line == 3 and err.value.pos == len("ring: t:1\n2*t\n")
+        ring, rels = parse_ideal_file("ring: t:1\n%s*t\n" % ("9" * 4300))
+        assert rels == [(10 ** 4300 - 1) * V(ring, "t")]
 
     def test_header_validation(self):
         with pytest.raises(ParseError):

@@ -71,5 +71,5 @@ def test_fields_are_read_only(build, field):
 def test_params_text_and_order():
     assert str(Params(g=8, n=3)) == "g=8, n=3"
     assert str(Params()) == ""
-    assert Params(a=2, b=1).as_dict() == {"g": None, "n": None, "a": 2, "b": 1}
+    assert Params(a=2, b=1)._asdict() == {"g": None, "n": None, "a": 2, "b": 1}
     assert Params(a=2, b=1).sort_key() == (-1, -1, 2, 1)

@@ -60,7 +60,7 @@ def matmul(A, B):
 
 class TestHNF:
     def test_identity_fixed(self):
-        I = IntMatrix.identity(4)
+        I = mat([[int(i == j) for j in range(4)] for i in range(4)])
         H, U = hnf(I)
         assert H == I and U == I
 
@@ -75,7 +75,7 @@ class TestHNF:
     def test_zero_row(self):
         A = mat([[0, 0, 0]])
         H, _ = hnf(A)
-        assert H == IntMatrix.zeros(1, 3)
+        assert H == mat([[0, 0, 0]])
 
     def test_pivot_normalization(self):
         H, _ = hnf(mat([[-3, 1], [0, -5]]))
@@ -125,9 +125,10 @@ class TestSNF:
             assert res == oracle.invariants
 
     def test_identity(self):
-        res = snf(IntMatrix.identity(2))
-        assert smith_diagonal(res, IntMatrix.identity(2)) == [1, 1]
-        assert res.is_trivial()
+        I = mat([[1, 0], [0, 1]])
+        res = snf(I)
+        assert smith_diagonal(res, I) == [1, 1]
+        assert res == AbelianInvariants(free_rank=0)
 
     def test_cokernel_z2_squared(self):
         res = snf(mat([[2, 0], [8, -6], [4, 2]]))
@@ -142,7 +143,7 @@ class TestSNF:
         assert abs(det([list(r) for r in oracle.v.entries])) == 1
 
     def test_empty_and_zero(self):
-        res = snf(IntMatrix.zeros(2, 3))
+        res = snf(mat([[0, 0, 0], [0, 0, 0]]))
         assert res == AbelianInvariants(free_rank=3)
         res = snf(IntMatrix.from_rows([], cols=2))
         assert res == AbelianInvariants(free_rank=2)
