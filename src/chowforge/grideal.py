@@ -26,9 +26,8 @@ certificate has cofactor +-1 at the first such i and 0 elsewhere, and no
 bundle, piece, Hermite form or solve is needed.  The bundle of a
 presentation is the one object that holds its state: the reduction and
 each degree piece that membership asks about, built once, with its
-Hermite form kept on its matrix.  A small LRU cache keeps the bundles of
-the last few presentations; every answer is still solved and re-verified
-on its own.
+Hermite form kept on its matrix.  It is kept on the presentation, and
+every answer is still solved and re-verified on its own.
 Membership certificates are reassembled into explicit polynomial
 cofactors and re-verified by exact arithmetic before being returned.
 """
@@ -63,7 +62,7 @@ class Presentation:
     canonical internal form, so output is deterministic.
     """
 
-    __slots__ = ("ring", "relations")
+    __slots__ = ("ring", "relations", "_bundle")
 
     def __init__(self, ring: RingSpec, relations: Iterable[Polynomial]):
         kept = []
@@ -82,6 +81,7 @@ class Presentation:
             kept.append(p)
         self.ring = ring
         self.relations: tuple[Polynomial, ...] = tuple(kept)
+        self._bundle: _Bundle | None = None  # built by _bundle(P) on first use
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Presentation):
@@ -152,7 +152,7 @@ def _vector_of(terms, index: dict[tuple[int, ...], int]) -> list[int]:
 class Certificate:
     """Explicit cofactors h_i with sum(h_i * g_i) = f, verified exactly."""
 
-    __slots__ = ("presentation", "member", "cofactors")
+    __slots__ = ("relations", "member", "cofactors")
 
     def __init__(
         self,
@@ -167,14 +167,14 @@ class Certificate:
         )
         if total != member:
             raise AssertionError("certificate failed polynomial re-verification")
-        self.presentation = presentation
+        self.relations = presentation.relations  # not P: a kept certificate keeps no bundle
         self.member = member
         self.cofactors = tuple(cofactors)
 
     def nonzero_parts(self) -> list[tuple[Polynomial, Polynomial]]:
         return [
             (h, g)
-            for h, g in zip(self.cofactors, self.presentation.relations)
+            for h, g in zip(self.cofactors, self.relations)
             if not h.is_zero()
         ]
 
@@ -237,12 +237,17 @@ class _Bundle:
     is the span of the m*r over the multipliers m.  `piece(d)` is built
     once per degree and kept while the bundle is."""
 
-    __slots__ = ("ring", "g", "spans", "pieces")
+    __slots__ = ("ring", "g", "parts", "pieces")
 
-    def __init__(self, ring: RingSpec, g: _Monic | None, spans: tuple):
+    def __init__(self, ring: RingSpec, g: _Monic | None, relations: tuple[Polynomial, ...]):
         self.ring = ring
         self.g = g
-        self.spans = spans
+        # [index, terms, degree, shifts divided, spans] per relation h other than g
+        self.parts = [
+            [hi, h.terms, ring.exponent_degree(next(iter(h.terms))), 0, []]
+            for hi, h in enumerate(relations)
+            if g is None or hi != g.gi
+        ]
         self.pieces: dict[int, _Piece] = {}
 
     def columns(self, d: int) -> tuple[tuple[int, ...], ...]:
@@ -253,6 +258,30 @@ class _Bundle:
         g = self.g
         return _basis(self.ring, None, 0, d) if g is None else _basis(self.ring, g.x, 1, d)
 
+    def spans(self, d: int):
+        """Every span of degree at most d, and those already built above
+        it, in (relation, shift) order.  The shifts x^i*h of a relation h
+        are divided on first need, the i < k of degree at most d, so a
+        large k costs nothing until its degrees are asked.  The trivial
+        bundle is the case k = 1 with no division."""
+        g = self.g
+        k, w = (1, 1) if g is None else (g.k, self.ring.weights[g.x])
+        one = (0,) * len(self.ring)
+        for part in self.parts:
+            hi, h, D, built, spans = part
+            if built < k:
+                top = min(k, (d - D) // w + 1)
+                for i in range(built, top):
+                    if g is None:
+                        shift, q, r = one, {}, h
+                    else:
+                        shift = one[: g.x] + (i,) + one[g.x + 1 :]
+                        q, r = _divide({tuple(map(add, ex, shift)): c for ex, c in h.items()}, g)
+                    if r:
+                        spans.append((hi, shift, D + i * w, r, q))
+                part[3] = max(built, top)
+            yield from spans
+
     def piece(self, d: int) -> _Piece:
         p = self.pieces.get(d)
         if p is None:
@@ -260,49 +289,33 @@ class _Bundle:
         return p
 
 
-@lru_cache(maxsize=8)
 def _bundle(P: Presentation) -> _Bundle:
-    """The bundle of the relation g of positive degree that is monic of
-    least degree k in a variable x, the first such relation in relation
-    order and then the first such variable in ring order on ties; the
-    trivial bundle when no relation is monic.  Monic means that g has a
-    term x^k with coefficient +-1; by homogeneity k*weight(x) = deg g,
-    and no other term of g reaches x-degree k.  The least k leaves the
-    fewest columns: a linear relation (k = 1) eliminates x outright.
-    The spans are the nonzero remainders of x^i*h for each other
-    relation h and i < k.
-    This is the one cache of presentation state, and it is small: a
-    `verify` grid point asks about a few presentations at a time, so 8
-    bundles build no more pieces than 16 did (411 at the default grid,
-    3051 at the stretched one), and a long run keeps few pieces."""
-    ring = P.ring
-    degrees = [ring.exponent_degree(next(iter(g.terms))) for g in P.relations]
-    last = len(ring) - 1
+    """The bundle of P, built on first use and kept in `P._bundle`: that
+    of the relation g of positive degree that is monic of least degree k
+    in a variable x, the first such relation in relation order and then
+    the first such variable in ring order on ties; the trivial bundle
+    when no relation is monic.  Monic means that g has a term x^k with
+    coefficient +-1; by homogeneity k*weight(x) = deg g, and no other
+    term of g reaches x-degree k.  The least k leaves the fewest columns:
+    a linear relation (k = 1) eliminates x outright.  The spans are the
+    nonzero remainders of x^i*h for each other relation h and i < k."""
+    if P._bundle is not None:
+        return P._bundle
+    last = len(P.ring) - 1
     found = [  # (k, relation, variable, x^k) for each monic pure power x^k
         (max(e), gi, e.index(max(e)), e)
         for gi, g in enumerate(P.relations)
         for e, c in g.terms.items()
         if c in (1, -1) and e.count(0) == last
     ]
-    if not found:
-        one = (0,) * len(ring)
-        spans = tuple((hi, one, D, h.terms, {}) for hi, (h, D) in enumerate(zip(P.relations, degrees)))
-        return _Bundle(ring, None, spans)
-    k, gi, x, pure = min(found)  # least k, then relation order, then ring order
-    g = P.relations[gi]
-    tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
-    monic = _Monic(gi, x, k, g.terms[pure], tail)
-    spans = []
-    for hi, h in enumerate(P.relations):
-        if hi == gi:
-            continue
-        for i in range(k):
-            shift = pure[:x] + (i,) + pure[x + 1 :]
-            shifted = {tuple(map(add, ex, shift)): c for ex, c in h.terms.items()}
-            q, r = _divide(shifted, monic)
-            if r:
-                spans.append((hi, shift, degrees[hi] + i * ring.weights[x], r, q))
-    return _Bundle(ring, monic, tuple(spans))
+    monic = None
+    if found:
+        k, gi, x, pure = min(found)  # least k, then relation order, then ring order
+        g = P.relations[gi]
+        tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
+        monic = _Monic(gi, x, k, g.terms[pure], tail)
+    P._bundle = _Bundle(P.ring, monic, P.relations)
+    return P._bundle
 
 
 class _Piece(NamedTuple):
@@ -324,7 +337,7 @@ def _lattice(B: _Bundle, d: int) -> _Piece:
     index = {e: j for j, e in enumerate(cols)}
     rows: list[list[int]] = []
     labels = []
-    for span in B.spans:
+    for span in B.spans(d):
         _, _, e, r, _ = span
         if e > d:
             continue

@@ -153,12 +153,14 @@ class _Parser:
                     "power of a %d-term base would have more than %d terms" % (m, _MAX_POWER_TERMS),
                     start,
                 )
-            if m == 1:
-                # a term c*x to the n has the coefficient c^n, at least
+            if m:
+                # the lex-largest and lex-smallest terms of the base are
+                # vertices of its Newton polytope, so base^n has the
+                # coefficient c^n for either's coefficient c, at least
                 # 2^(n * (bits of c - 1)); refuse it before it is expanded
                 # when that passes 10^limit, the least int Python will not print
-                (c,) = base.terms.values()
-                bits = n * (abs(c).bit_length() - 1)
+                c = max(abs(base.terms[max(base.terms)]), abs(base.terms[min(base.terms)]))
+                bits = n * (c.bit_length() - 1)
                 limit = sys.get_int_max_str_digits()
                 if bits and limit and bits >= (10 ** limit).bit_length():
                     raise ParseError(

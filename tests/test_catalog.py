@@ -340,6 +340,22 @@ class TestLemma34:
                 assert cert.member.weighted_degree() == 2 * j + 1
                 assert degree_in(cert.member, "xi%d" % (2 * j)) == 2 * j + 1
 
+    def test_kept_certificates_keep_no_bundle(self):
+        import gc
+
+        from chowforge import catalog, grideal
+
+        def live_bundles():
+            gc.collect()
+            return sum(isinstance(o, grideal._Bundle) for o in gc.get_objects())
+
+        before = live_bundles()
+        certs = [catalog._monic_hyperplane_membership.__wrapped__(j) for j in range(1, 13)]
+        assert all(certs)
+        # a certificate keeps the relations it was verified against, not the
+        # presentation that holds the bundle and its pieces
+        assert live_bundles() <= before
+
 
 def test_twist_chern_data():
     data = twist_chern_data()

@@ -10,6 +10,7 @@ from chowforge.catalog import Params
 from chowforge.cli import CheckReport, main
 from chowforge.grideal import Presentation, ideal_equal
 from chowforge.polyparse import parse_ideal_file
+from test_grideal import clear_caches
 
 DATA = Path(__file__).parent / "data"
 
@@ -305,6 +306,18 @@ class TestIdealEq:
             % (a, offset)
         )
 
+    def test_power_coefficient_beyond_the_int_string_limit_exit_2(self, tmp_path):
+        # 2^4000 to the 400 is refused at the power, before it is expanded
+        a = self.write(tmp_path, "a.ideal", "ring: t:1, c1:1\n2*t\nt^2 - (2^4000*t + c1)^400*t\n")
+        b = self.write(tmp_path, "b.ideal", "ring: t:1, c1:1\n2*t\n")
+        done = fresh("-m", "chowforge.cli", "ideal-eq", b, a, timeout=10)
+        assert done.returncode == 2 and done.stdout == ""
+        offset = len("ring: t:1, c1:1\n2*t\nt^2 - ")
+        assert done.stderr == (
+            "error: %s: line 3, offset %d: power would have a coefficient of more than 4300 digits\n"
+            % (a, offset)
+        )
+
     @pytest.mark.parametrize(
         "a, b, code, expected",
         [
@@ -510,7 +523,7 @@ class TestVerify:
             built.append(d)
             return original(B, d)
 
-        grideal._bundle.cache_clear()
+        clear_caches()  # the catalog's kept presentations, with their bundles
         monkeypatch.setattr(grideal, "_lattice", counting)
         code, out, _ = run(capsys, "verify", "--suite", "remark37", "--ab-max", "3", "--jobs", "1")
         assert code == 1 and "18 checks, 9 failed" in out
@@ -546,7 +559,7 @@ class TestVerify:
                 built.append(inside[-1])
             return lattice(B, d)
 
-        grideal._bundle.cache_clear()
+        clear_caches()  # the catalog's kept presentations, with their bundles
         monkeypatch.setattr(grideal, "_bundle", owned)
         monkeypatch.setattr(grideal._Bundle, "piece", asking)
         monkeypatch.setattr(grideal, "_lattice", counting)
@@ -618,6 +631,15 @@ class TestVerify:
             "error: %s: line 2, offset 10: power would have a coefficient of more than 4300 digits\n"
             % big
         )
+
+    def test_external_monic_power_of_large_degree(self, tmp_path):
+        # t^100000000 is monic with k = 10^8, and only the shifts that the
+        # degree-0 piece needs are divided: a fresh process answers at once
+        big = tmp_path / "big.ideal"
+        big.write_text("ring: t:1, c1:1\nt^100000000\n2*t\n")
+        done = fresh("-m", "chowforge.cli", "verify", "--external", str(big), timeout=10)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines()[:2] == ["PASS external-roundtrip", "PASS external-proper"]
 
     def test_external_file_validation(self, capsys, tmp_path):
         good = tmp_path / "good.ideal"

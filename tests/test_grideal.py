@@ -28,13 +28,17 @@ def V(ring, name):
 
 
 def clear_caches():
-    grideal._bundle.cache_clear()
+    """Drop the values the catalog keeps, and with their presentations
+    the bundles and pieces those hold."""
+    for obj in vars(catalog).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts with an empty bundle cache, so a test that checks
-    which route or kernel runs sees it run rather than a kept piece."""
+    """Each test starts with no catalog presentation kept, so a test that
+    checks which route or kernel runs sees it run rather than a kept piece."""
     clear_caches()
 
 
@@ -225,12 +229,12 @@ class TestPieceCache:
         yield Q, 2 * (4 * c2 - 3 * c1 ** 2) - 6 * t * c1, c1 ** 2
 
     def test_cold_and_warm_agree(self):
-        cases = list(self._cases())
-        cold = []
-        for P, f, g in cases:
-            clear_caches()
-            cold.append((_certificate_key(contains(P, f)), contains(P, g)))
-        warm = [(_certificate_key(contains(P, f)), contains(P, g)) for P, f, g in cases]
+        # equal presentations with no bundle yet: the first pass builds each
+        # piece, the second is answered from the pieces kept on them
+        fresh = [(Presentation(P.ring, P.relations), f, g) for P, f, g in self._cases()]
+        cold = [(_certificate_key(contains(P, f)), contains(P, g)) for P, f, g in fresh]
+        assert all(P._bundle.pieces for P, _, _ in fresh)
+        warm = [(_certificate_key(contains(P, f)), contains(P, g)) for P, f, g in fresh]
         assert cold == warm
         assert all(non is None for _, non in cold)
 
@@ -248,26 +252,40 @@ class TestPieceCache:
         assert built == [9]
         assert len({str(c) for c in certs}) == 1
 
-    def test_eviction_keeps_answers(self):
-        ideals = [_lemma34_ideal(j) for j in range(1, 4)]
-        t1 = V(ideals[0][0].ring, "t1")
-        t, c1, c2 = (V(RING, n) for n in RING.names)
-        # more distinct presentations than the cache holds, on both routes
-        size = grideal._bundle.cache_info().maxsize
-        ks = range(2, 3 + size)
-        extra = [Presentation(RING, [k * t, c2 - c1 ** 2 + k * t * c1]) for k in ks]
-        extra += [Presentation(RING, [k * t, 4 * c2 - 3 * c1 ** 2]) for k in ks]
-        assert grideal._bundle(extra[0]).g is not None and grideal._bundle(extra[-1]).g is None
-        first = [_certificate_key(contains(P, f)) for P, f in ideals]
-        for Q in extra:
-            for g in Q.relations:
-                # c1*g, not g: a generator itself is answered without a piece
-                assert contains(Q, c1 * g) is not None
-            assert contains(Q, c1 ** 2 * c2) is None
-        assert grideal._bundle.cache_info().misses > size
-        assert [_certificate_key(contains(P, f)) for P, f in ideals] == first
-        assert all(contains(P, t1 ** (2 * j + 1)) is None for j, (P, _) in enumerate(ideals, 1))
-        assert grideal._bundle.cache_info().currsize <= size
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_a_piece_does_not_depend_on_the_degrees_asked_before(self, monic):
+        # the shifts x^i*h are divided on first need, up to the degree asked
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        a = 1 if monic else 2
+        relations = [a * t ** 5 - a * c1 ** 5, 2 * t + 3 * c1, a * c1 ** 3]
+        assert (grideal._bundle(Presentation(RING, relations)).g is not None) == monic
+
+        def pieces(degrees):
+            B = grideal._bundle(Presentation(RING, relations))
+            return {d: B.piece(d) for d in degrees}
+
+        up, down = pieces(range(9)), pieces(range(8, -1, -1))
+        for d in range(9):
+            alone = pieces([d])[d]
+            assert up[d].A == down[d].A == alone.A
+            assert up[d].labels == down[d].labels == alone.labels
+
+    def test_equal_presentations_each_build_one_bundle(self, monkeypatch):
+        (P, ptilde), (Q, _) = _lemma34_ideal(3), _lemma34_ideal(3)
+        assert P == Q and P is not Q
+        built = []
+        original = grideal._Bundle.__init__
+
+        def counting(B, *args):
+            built.append(B)
+            original(B, *args)
+
+        monkeypatch.setattr(grideal._Bundle, "__init__", counting)
+        certs = [str(contains(X, ptilde)) for X in (P, Q, P, Q)]
+        assert contains(P, V(P.ring, "t1") ** 7) is None and contains(Q, V(Q.ring, "t1") ** 7) is None
+        # each owns the bundle built on its first use, and answers alike
+        assert built == [P._bundle, Q._bundle] and P._bundle is not Q._bundle
+        assert len(set(certs)) == 1
 
 
 class TestIdealEqual:

@@ -88,10 +88,20 @@ class TestParsePoly:
 
     @pytest.mark.parametrize(
         "src, pos",
-        [("(2*t)^9999999999", 0), ("2^9999999999", 0), ("t + (-3*t)^9999999999", 4), ("2^14285*t", 0)],
+        [
+            ("(2*t)^9999999999", 0),
+            ("2^9999999999", 0),
+            ("t + (-3*t)^9999999999", 4),
+            ("2^14285*t", 0),
+            ("(2^4000*t + c1)^4", 0),
+            ("c1*(c1 - 2^4000*t)^400", 3),
+            ("(t + 3*c1 - 2^4000*c2)^4", 0),
+        ],
     )
     def test_power_beyond_the_int_string_limit(self, src, pos):
-        # c^n is refused from n and the bits of c, before it is expanded
+        # c^n is refused from n and the bits of c, before it is expanded; of
+        # a base of several terms, c is the larger coefficient of its
+        # lex-largest and lex-smallest terms, and base^n has c^n
         with pytest.raises(ParseError, match="power would have a coefficient of more than 4300 digits") as err:
             parse_poly(src, RING)
         assert err.value.pos == pos
@@ -103,6 +113,9 @@ class TestParsePoly:
         assert parse_poly("(2*t*c1)^300", RING) == (2 * V(RING, "t") * V(RING, "c1")) ** 300
         # 2^14284 has 4300 digits, as many as Python prints; 2^14285 is refused
         assert parse_poly("2^14284*t", RING) == 2 ** 14284 * V(RING, "t")
+        # 3 * 4000 bits, 3612 digits: the bound passes a base of several terms too
+        big = parse_poly("(2^4000*t + c1)^3", RING)
+        assert big == (2 ** 4000 * V(RING, "t") + V(RING, "c1")) ** 3
         assert parse_poly("(t - t)^99999", RING).is_zero()
         assert parse_poly("(t + c1)^0", RING) == Polynomial.const(RING, 1)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowforge import zlinalg
 from chowforge.catalog import lemma_3_4_check, thm_1_3_presentation, thm_1_9_presentation
-from chowforge.grideal import monomial_basis
+from chowforge.grideal import Presentation, monomial_basis
 from chowforge.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -350,11 +350,12 @@ def _lemma34_system(j):
     coefficient vector of its product of the 2j+1 hyperplane classes."""
     ((_, cert),) = lemma_3_4_check(j, j).certificates
     d = 2 * j + 1
-    index = {e: i for i, e in enumerate(monomial_basis(cert.presentation.ring, d))}
+    P = Presentation(cert.member.ring, cert.relations)
+    index = {e: i for i, e in enumerate(monomial_basis(P.ring, d))}
     v = [0] * len(index)
     for e, c in cert.member.terms.items():
         v[index[e]] = c
-    return macaulay(cert.presentation, d), v
+    return macaulay(P, d), v
 
 
 @pytest.mark.parametrize("j", range(1, 7))
