@@ -321,7 +321,12 @@ class Lemma34Result(NamedTuple):
 def _monic_hyperplane_membership(j: int) -> Certificate | None:
     """Membership of the product of the 2j+1 coordinate-hyperplane classes
     of the projectivized symmetric power in the ideal of the two torus
-    pushforward classes, over Z[xi, t1, t2]."""
+    pushforward classes, over Z[xi, t1, t2].
+
+    The i-th class xi - i*t1 - (2j-i)*t2 is the image of u + i*v under
+    u -> xi - 2j*t2, v -> t2 - t1, so the product is multiplied out in
+    Z[u, v] and mapped once: about a third of the term products of the
+    direct product over Z[xi, t1, t2]."""
     R = ring_make([("xi%d" % (2 * j), 1), ("t1", 1), ("t2", 1)])
     xi = Polynomial.var(R, "xi%d" % (2 * j))
     t1 = Polynomial.var(R, "t1")
@@ -330,9 +335,13 @@ def _monic_hyperplane_membership(j: int) -> Certificate | None:
     gen1 = 2 * (2 * j - 1) * xi - 2 * j * (2 * j - 1) * s
     gen2 = xi ** 2 - s * xi - 2 * j * (2 * j - 2) * (t1 * t2)
     ideal = Presentation(R, [gen1, gen2])
-    ptilde = Polynomial.const(R, 1)
+    S = ring_make([("u", 1), ("v", 1)])
+    u = Polynomial.var(S, "u")
+    v = Polynomial.var(S, "v")
+    product = Polynomial.const(S, 1)
     for i in range(2 * j + 1):
-        ptilde = ptilde * (xi - i * t1 - (2 * j - i) * t2)
+        product = product * (u + i * v)
+    ptilde = product.substitute({"u": xi - 2 * j * t2, "v": t2 - t1}, R)
     return contains(ideal, ptilde)
 
 

@@ -9,7 +9,7 @@ user-supplied ideal files).
 
 Exit codes: 0 = all checks pass / equality holds, 1 = a check failed or
 the ideals differ, 2 = usage or parse error, 3 = an unexpected error (the
-traceback goes to stderr).  Identical invocations
+traceback goes to stderr) or running out of memory.  Identical invocations
 produce byte-identical output; ``--jobs`` changes wall time only, and
 each worker runs one contiguous share of the grid points.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import NamedTuple
@@ -444,6 +445,11 @@ def main(argv=None) -> int:
     except (ParamError, ParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        # formatting a traceback here could raise a second MemoryError and
+        # leave with exit 1, the code of a verdict; one write allocates nothing
+        os.write(2, b"error: out of memory\n")
+        return 3
     except Exception:
         # a crash is no verdict: exit 1 means a failed check or unequal ideals
         import traceback

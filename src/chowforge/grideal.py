@@ -213,7 +213,7 @@ def _divide(terms, g: _Monic) -> tuple[dict, dict]:
             qc = sign * c
             quo[qe] = qc
             for te, tc in g.tail:
-                t = tuple(a + b for a, b in zip(qe, te))
+                t = tuple(map(add, qe, te))
                 b = buckets.setdefault(t[x], {})
                 b[t] = b.get(t, 0) - qc * tc
     rem = {exps: c for b in buckets.values() for exps, c in b.items() if c}
@@ -347,7 +347,7 @@ def _lattice(B: _Bundle, d: int) -> _Piece:
                 row[index[tuple(map(add, m, re_))]] = rc
             rows.append(row)
             labels.append((span, m))
-    return _Piece(IntMatrix.from_rows(rows, cols=len(cols)), index, labels)
+    return _Piece(IntMatrix._trusted(len(cols), rows), index, labels)
 
 
 def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
@@ -488,8 +488,13 @@ def eliminate_linear(P: Presentation, v: str, h: Polynomial) -> Presentation:
 def quotient_graded_invariants(P: Presentation, d: int) -> AbelianInvariants:
     """Abelian invariants of the degree-d piece of the quotient ring: the
     Smith form of `ideal_degree_matrix(P, d)`, the small piece over the
-    bundle whenever a relation is monic.  It is built afresh, not read
-    from the pieces the bundle keeps: those stay as long as the bundle
-    does, so a `graded --deg-max D` run would hold every degree in
-    memory, and `snf` has no use for their labels or Hermite forms."""
+    bundle whenever a relation is monic.  When membership has already
+    built that piece, the Smith form is taken of the Hermite form kept on
+    its matrix, whose rows span the same lattice (Kannan and Bachem), and
+    `hnf` is not called again.  Nothing new is kept: a `graded --deg-max D`
+    run builds each of its pieces afresh and lets it go."""
+    B = P._bundle
+    piece = None if B is None else B.pieces.get(d)
+    if piece is not None and piece.A._hnf is not None:
+        return snf(piece.A._hnf[0])
     return snf(ideal_degree_matrix(P, d))

@@ -257,9 +257,10 @@ class Polynomial:
         acc: dict[tuple[int, ...], int] = {}
         for p, q in pairs:
             for f in (p, q):
-                if f.ring != ring:
+                if f.ring is not ring and f.ring != ring:
                     raise ValueError("ring mismatch: %r vs %r" % (f.ring, ring))
-            _add_product(acc, p.terms, q.terms)
+            if p.terms and q.terms:
+                _add_product(acc, p.terms, q.terms)
         return Polynomial._trusted(ring, _nonzero(acc))
 
     @staticmethod

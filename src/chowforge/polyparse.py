@@ -154,12 +154,17 @@ class _Parser:
                     start,
                 )
             if m:
-                # the lex-largest and lex-smallest terms of the base are
-                # vertices of its Newton polytope, so base^n has the
-                # coefficient c^n for either's coefficient c, at least
-                # 2^(n * (bits of c - 1)); refuse it before it is expanded
-                # when that passes 10^limit, the least int Python will not print
-                c = max(abs(base.terms[max(base.terms)]), abs(base.terms[min(base.terms)]))
+                # the lex-largest and lex-smallest terms of the base, under
+                # each rotation of the variable order, are vertices of its
+                # Newton polytope, so base^n has the coefficient c^n for
+                # each one's coefficient c, at least 2^(n * (bits of c - 1));
+                # refuse it before it is expanded when that passes
+                # 10^limit, the least int Python will not print
+                c = max(
+                    abs(base.terms[pick(base.terms, key=lambda e: e[r:] + e[:r])])
+                    for r in range(len(self.ring) or 1)
+                    for pick in (max, min)
+                )
                 bits = n * (c.bit_length() - 1)
                 limit = sys.get_int_max_str_digits()
                 if bits and limit and bits >= (10 ** limit).bit_length():

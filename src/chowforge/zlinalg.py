@@ -14,6 +14,10 @@ replays the log on the one vector y, and the dense U is built from the
 log only on first read of its entries.  Everything is plain Python ints,
 so results are exact at any size; pivoting by minimal absolute value
 keeps the intermediate entries from exploding.
+
+The public `IntMatrix` constructor checks every entry.  The matrices the
+kernel builds itself, the H of `hnf` and the degree pieces of `grideal`,
+are made by `IntMatrix._trusted`, which takes rows of ints as they are.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ class IntMatrix:
     """Immutable dense matrix of arbitrary-precision integers, row-major.
 
     Entries must be integers: a bool becomes an int, and a float or a
-    string raises TypeError rather than being truncated.  `hnf` keeps its
-    result on the matrix, so each matrix is eliminated at most once.
+    string raises TypeError rather than being truncated.  `_trusted` skips
+    those checks, for rows of ints that the kernel has just built.  `hnf`
+    keeps its result on the matrix, so each matrix is eliminated at most
+    once.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hnf")
@@ -49,6 +55,18 @@ class IntMatrix:
         self.cols = cols
         self.entries = data
         self._hnf = None
+
+    @classmethod
+    def _trusted(cls, cols: int, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        """The matrix of `rows`, unchecked: only for rows of exactly `cols`
+        ints, built by the kernel itself from validated matrices or
+        polynomials."""
+        M = object.__new__(cls)
+        M.rows = len(rows)
+        M.cols = cols
+        M.entries = tuple(map(tuple, rows))
+        M._hnf = None
+        return M
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -262,7 +280,7 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         H = [list(row) for row in A.entries]
         ops: list[tuple[int, int, int]] = []
         _echelon(H, A.cols, ops)
-        A._hnf = (IntMatrix(A.rows, A.cols, H), _LoggedTransform(A.rows, ops))
+        A._hnf = (IntMatrix._trusted(A.cols, H), _LoggedTransform(A.rows, ops))
     return A._hnf
 
 
@@ -309,18 +327,18 @@ def solve_in_row_lattice(A: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | No
     if len(v) != A.cols:
         raise ValueError("vector length %d does not match %d columns" % (len(v), A.cols))
     H, U = hnf(A)
+    entries, rows, cols = H.entries, A.rows, A.cols
     w = list(v)
-    y = [0] * A.rows
+    y = [0] * rows
     row = 0
-    for c in range(A.cols):
-        if row < A.rows and H.entries[row][c]:
-            p = H.entries[row][c]
-            if w[c] % p:
+    for c in range(cols):
+        if row < rows and entries[row][c]:
+            hr = entries[row]
+            q, rest = divmod(w[c], hr[c])
+            if rest:
                 return None
-            q = w[c] // p
             if q:
-                hr = H.entries[row]
-                for j in range(c, A.cols):
+                for j in range(c, cols):
                     w[j] -= q * hr[j]
             y[row] = q
             row += 1

@@ -340,6 +340,20 @@ class TestLemma34:
                 assert cert.member.weighted_degree() == 2 * j + 1
                 assert degree_in(cert.member, "xi%d" % (2 * j)) == 2 * j + 1
 
+    @pytest.mark.parametrize("j", range(1, 13))
+    def test_member_is_the_direct_product(self, j):
+        # the member is built in Z[u, v] and mapped by u -> xi - 2j*t2,
+        # v -> t2 - t1; it must be the product of the 2j+1 classes
+        from chowforge import catalog
+
+        cert = catalog._monic_hyperplane_membership.__wrapped__(j)
+        R = cert.member.ring
+        xi, t1, t2 = (V(R, n) for n in R.names)
+        product = Polynomial.const(R, 1)
+        for i in range(2 * j + 1):
+            product = product * (xi - i * t1 - (2 * j - i) * t2)
+        assert cert.member == product
+
     def test_kept_certificates_keep_no_bundle(self):
         import gc
 

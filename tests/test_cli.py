@@ -318,6 +318,35 @@ class TestIdealEq:
             % (a, offset)
         )
 
+    def test_power_coefficient_off_the_lex_extremes_exit_2(self, tmp_path):
+        # 2^4000*c1 is neither the lex-largest nor the lex-smallest term of
+        # the base; expanding its 61st power took seconds before the bound
+        a = self.write(tmp_path, "a.ideal", "ring: t:1, c1:1, c2:1\n2*t\n(t + 2^4000*c1 + c2)^61\n")
+        b = self.write(tmp_path, "b.ideal", "ring: t:1, c1:1, c2:1\n2*t\n")
+        done = fresh("-m", "chowforge.cli", "ideal-eq", b, a, timeout=10)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            "error: %s: line 3, offset %d: power would have a coefficient of more than 4300 digits\n"
+            % (a, len("ring: t:1, c1:1, c2:1\n2*t\n"))
+        )
+
+    def test_out_of_memory_exit_3(self, tmp_path):
+        # t^100000000 against 3*t^100000000 asks for a piece of 10^8
+        # columns; the child caps its own address space, so it runs out of
+        # memory within seconds.  A MemoryError raised while the first one
+        # is handled used to leave with exit 1, the code for "not equal"
+        a = self.write(tmp_path, "a.ideal", "ring: t:1, c1:1\nt^100000000\n2*t\n")
+        b = self.write(tmp_path, "b.ideal", "ring: t:1, c1:1\n3*t^100000000\n2*t\n")
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))\n"
+            "from chowforge.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = fresh("-c", child, "ideal-eq", a, b, timeout=60)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == "error: out of memory\n"
+
     @pytest.mark.parametrize(
         "a, b, code, expected",
         [

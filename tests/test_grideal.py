@@ -817,3 +817,44 @@ def test_graded_invariants_reach_the_traced_names(monkeypatch):
     P = catalog.thm_1_3_presentation(8, 3)
     assert quotient_graded_invariants(P, 4) == AbelianInvariants(0, (2, 2, 48))
     assert calls == ["ideal_degree_matrix", "snf"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog.thm_1_3_presentation(8, 3),
+        lambda: catalog.thm_1_9_presentation(21, 5),
+        lambda: catalog.cor_1_10_presentation(8, 3),
+        lambda: _lemma34_ideal(3)[0],
+    ],
+    ids=["thm1.3", "thm1.9", "cor1.10", "lemma34"],
+)
+def test_graded_invariants_read_the_kept_hermite_form(make, monkeypatch):
+    """Once membership has built a degree piece, its graded invariants are
+    the Smith form of the Hermite form kept on it: no piece is built and
+    no Hermite form computed again, yet `snf` is still reached through
+    `grideal`.  The answer is that of a fresh copy and of the dense
+    oracle on the Macaulay matrix, and a fresh copy keeps no piece."""
+    P = make()
+    degrees = range(7)
+    fresh = Presentation(P.ring, P.relations)
+    cold = [quotient_graded_invariants(fresh, d) for d in degrees]
+    assert cold == [dense_snf(macaulay(P, d)).invariants for d in degrees]
+    assert grideal._bundle(fresh).pieces == {}
+
+    for d in degrees:
+        contains(P, Polynomial(P.ring, {monomial_basis(P.ring, d)[0]: 1}))
+    assert sorted(grideal._bundle(P).pieces) == list(degrees)
+
+    from chowforge import zlinalg
+
+    def rebuilt(*args):
+        raise AssertionError("the kept piece was built or eliminated again")
+
+    monkeypatch.setattr(grideal, "_lattice", rebuilt)
+    monkeypatch.setattr(zlinalg, "hnf", rebuilt)
+    calls = []
+    original = grideal.snf
+    monkeypatch.setattr(grideal, "snf", lambda A: calls.append(A) or original(A))
+    assert [quotient_graded_invariants(P, d) for d in degrees] == cold
+    assert len(calls) == len(degrees)

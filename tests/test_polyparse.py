@@ -96,12 +96,17 @@ class TestParsePoly:
             ("(2^4000*t + c1)^4", 0),
             ("c1*(c1 - 2^4000*t)^400", 3),
             ("(t + 3*c1 - 2^4000*c2)^4", 0),
+            ("(t + 2^4000*c1 + c2)^61", 0),
+            ("c2 - (t + 2^4000*c1 + c2)^61", 5),
         ],
     )
     def test_power_beyond_the_int_string_limit(self, src, pos):
         # c^n is refused from n and the bits of c, before it is expanded; of
-        # a base of several terms, c is the larger coefficient of its
-        # lex-largest and lex-smallest terms, and base^n has c^n
+        # a base of several terms, c is the largest coefficient of its
+        # lex-largest and lex-smallest terms under each rotation of the
+        # variable order, and base^n has c^n.  2^4000*c1 is neither
+        # lex-extreme term in the order t, c1, c2, but it is the largest
+        # in the order c1, c2, t
         with pytest.raises(ParseError, match="power would have a coefficient of more than 4300 digits") as err:
             parse_poly(src, RING)
         assert err.value.pos == pos

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowforge import zlinalg
 from chowforge.catalog import lemma_3_4_check, thm_1_3_presentation, thm_1_9_presentation
-from chowforge.grideal import Presentation, monomial_basis
+from chowforge.grideal import Presentation, ideal_degree_matrix, monomial_basis
 from chowforge.zlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -191,6 +191,29 @@ class TestIntMatrix:
             IntMatrix.from_rows([[1.7, 2]])
         with pytest.raises(TypeError):
             IntMatrix(1, 1, [["3"]])
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [[1, 2.0]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([["3", 1]])
+
+    @pytest.mark.parametrize(
+        "cols, rows", [(3, [[2, -4, 0], [0, 0, 7]]), (2, []), (1, [[10 ** 40], [-1]])]
+    )
+    def test_trusted_equals_validated(self, cols, rows):
+        A = IntMatrix._trusted(cols, rows)
+        B = IntMatrix(len(rows), cols, rows)
+        assert A == B and hash(A) == hash(B)
+        assert (A.rows, A.cols, A.entries) == (B.rows, B.cols, B.entries)
+        assert A._hnf is None
+
+    def test_kernel_matrices_equal_validated_copies(self):
+        # the H of hnf and a degree piece are built unchecked; each equals
+        # the matrix the public constructor makes of its rows
+        A = ideal_degree_matrix(thm_1_3_presentation(8, 3), 6)
+        H, _ = hnf(A)
+        for M in (A, H):
+            again = IntMatrix(M.rows, M.cols, M.entries)
+            assert M == again and hash(M) == hash(again)
 
     def test_bool_entries_become_ints(self):
         A = IntMatrix.from_rows([[True, False, 2]])
