@@ -69,6 +69,9 @@ def _build_presentation(theorem: str, args) -> tuple[Presentation, Params]:
         raise ParamError(
             "%s requires %s" % (theorem, " and ".join("--" + f for f in flags))
         )
+    extra = [f for f in Params._fields if f not in flags and getattr(args, f) is not None]
+    if extra:
+        raise ParamError("%s does not take %s" % (theorem, " or ".join("--" + f for f in extra)))
     params = Params(**dict(zip(flags, values)))
     return getattr(catalog, constructor)(*values), params
 

@@ -11,23 +11,26 @@ free module over the ring of the other variables, with basis
 1, x, ..., x^(k-1), whose degree-d piece is far smaller than the
 Macaulay matrix of all degree-d multiples of the relations.  Of the
 monic relations, the one of least k is taken.  With no monic relation
-the bundle is trivial: the ring is free over itself with basis {1}, and
-the same lattice builder gives the Macaulay matrix.
+the bundle is trivial, the case k = 1 with no g: the ring is free over
+itself with basis {1}, and the same lattice builder gives the Macaulay
+matrix.
 
 The graded invariants of the quotient are read from the same piece:
 R/I is the quotient of R/(g) by the image of I, so the degree-d piece
 over the bundle has the degree-d piece of R/I as its cokernel, and its
-Smith form gives the invariants.  The Macaulay matrix is built only over
-the trivial bundle.
+Smith form gives the invariants.  `ideal_degree_matrix` returns the
+piece that membership built and kept, on which `snf` starts from the
+kept Hermite form; any other piece it builds for the call and lets go.
 
 A member that is +1 or -1 times a relation g_i (as most generators are
 that `ideal_equal` asks about) is answered by that relation alone: the
 certificate has cofactor +-1 at the first such i and 0 elsewhere, and no
 bundle, piece, Hermite form or solve is needed.  The bundle of a
-presentation is the one object that holds its state: the reduction and
-each degree piece that membership asks about, built once, with its
-Hermite form kept on its matrix.  It is kept on the presentation, and
-every answer is still solved and re-verified on its own.
+presentation, one `_Bundle`, is the one object that holds its state:
+the monic relation, the spans and each degree piece that membership
+asks about, built once, with its Hermite form kept on its matrix.  It is
+kept on the presentation, and every answer is still solved and
+re-verified on its own.
 Membership certificates are reassembled into explicit polynomial
 cofactors and re-verified by exact arithmetic before being returned.
 """
@@ -139,7 +142,7 @@ def monomial_basis(ring: RingSpec, d: int) -> list[tuple[int, ...]]:
     """All exponent vectors of weighted degree exactly d, canonical order."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return list(_basis(ring, None, 0, d))
+    return list(_basis(ring, None, 1, d))
 
 
 def _vector_of(terms, index: dict[tuple[int, ...], int]) -> list[int]:
@@ -186,21 +189,13 @@ class Certificate:
         return " + ".join(parts) if parts else "0"
 
 
-class _Monic(NamedTuple):
-    """The relation g = sign*x^k + tail of index gi, where tail has
-    x-degree < k."""
-
-    gi: int
-    x: int
-    k: int
-    sign: int
-    tail: tuple[tuple[tuple[int, ...], int], ...]
-
-
-def _divide(terms, g: _Monic) -> tuple[dict, dict]:
-    """Division by g: the terms of q and r with p = q*g + r and r of
-    x-degree < k."""
-    x, k, sign = g.x, g.k, g.sign
+def _divide(terms, B: _Bundle) -> tuple[dict, dict]:
+    """Division by the relation g of B: the terms of q and r with
+    p = q*g + r and r of x-degree < k.  On the trivial bundle q = 0 and
+    r is p itself."""
+    x, k, sign = B.x, B.k, B.sign
+    if x is None:
+        return {}, terms
     buckets: dict[int, dict[tuple[int, ...], int]] = {}
     for exps, c in terms.items():
         buckets.setdefault(exps[x], {})[exps] = c
@@ -212,7 +207,7 @@ def _divide(terms, g: _Monic) -> tuple[dict, dict]:
             qe = exps[:x] + (e - k,) + exps[x + 1 :]
             qc = sign * c
             quo[qe] = qc
-            for te, tc in g.tail:
+            for te, tc in B.tail:
                 t = tuple(map(add, qe, te))
                 b = buckets.setdefault(t[x], {})
                 b[t] = b.get(t, 0) - qc * tc
@@ -221,62 +216,82 @@ def _divide(terms, g: _Monic) -> tuple[dict, dict]:
 
 
 class _Bundle:
-    """The quotient R/(g) of the ring R of P as a free module over the
-    ring of the other variables, with basis 1, x, ..., x^(k-1), for a
-    relation g of P monic in x (the projective bundle formula), and the
-    degree pieces that membership solves on over it.  With no monic
-    relation it is the trivial bundle: g is None and R is free over
-    itself with basis {1}.
+    """The bundle of a presentation P: the quotient R/(g) of its ring R
+    as a free module over the ring of the other variables, with basis
+    1, x, ..., x^(k-1) (the projective bundle formula), and the degree
+    pieces that membership solves on over it.
+
+    g = sign*x^k + tail, of index gi in the relations, is the relation of
+    positive degree that is monic of least degree k in a variable x: the
+    first such relation in relation order and then the first such
+    variable in ring order on ties.  Monic means that g has a term x^k
+    with coefficient +-1; by homogeneity k*weight(x) = deg g, and no
+    other term of g reaches x-degree k, so the tail has x-degree < k.
+    The least k leaves the fewest columns: a linear relation (k = 1)
+    eliminates x outright.  With no monic relation the bundle is trivial:
+    x = gi = None and k = 1, and R is free over itself with basis {1}.
 
     `columns(d)` are the monomials of degree d of R/(g) and
     `multipliers(d)` those of the base ring; on the trivial bundle both
     are all monomials of degree d.  Each span is (relation index h, shift
     x^i as an exponent vector, degree of x^i*h, r terms, q terms) with
-    x^i*h = q*g + r; the spans of the trivial bundle are the relations
+    x^i*h = q*g + r, one for each other relation h and i < k with r
+    nonzero; the spans of the trivial bundle are the relations
     themselves, with shift 1 and q = 0.  The image of the ideal in R/(g)
     is the span of the m*r over the multipliers m.  `piece(d)` is built
-    once per degree and kept while the bundle is."""
+    once per degree and kept while the bundle is, and `_bundle(P)` keeps
+    the bundle on P."""
 
-    __slots__ = ("ring", "g", "parts", "pieces")
+    __slots__ = ("ring", "gi", "x", "k", "sign", "tail", "parts", "pieces")
 
-    def __init__(self, ring: RingSpec, g: _Monic | None, relations: tuple[Polynomial, ...]):
-        self.ring = ring
-        self.g = g
+    def __init__(self, P: Presentation):
+        ring = self.ring = P.ring
+        last = len(ring) - 1
+        found = [  # (k, relation, variable, x^k) for each monic pure power x^k
+            (max(e), gi, e.index(max(e)), e)
+            for gi, g in enumerate(P.relations)
+            for e, c in g.terms.items()
+            if c in (1, -1) and e.count(0) == last
+        ]
+        self.gi = self.x = None
+        self.k, self.sign, self.tail = 1, 1, ()
+        if found:  # least k, then relation order, then ring order
+            self.k, self.gi, self.x, pure = min(found)
+            g = P.relations[self.gi].terms
+            self.sign = g[pure]
+            self.tail = tuple((e, c) for e, c in g.items() if e != pure)
         # [index, terms, degree, shifts divided, spans] per relation h other than g
         self.parts = [
             [hi, h.terms, ring.exponent_degree(next(iter(h.terms))), 0, []]
-            for hi, h in enumerate(relations)
-            if g is None or hi != g.gi
+            for hi, h in enumerate(P.relations)
+            if hi != self.gi
         ]
         self.pieces: dict[int, _Piece] = {}
 
     def columns(self, d: int) -> tuple[tuple[int, ...], ...]:
-        g = self.g
-        return _basis(self.ring, None, 0, d) if g is None else _basis(self.ring, g.x, g.k, d)
+        return _basis(self.ring, self.x, self.k, d)
 
     def multipliers(self, d: int) -> tuple[tuple[int, ...], ...]:
-        g = self.g
-        return _basis(self.ring, None, 0, d) if g is None else _basis(self.ring, g.x, 1, d)
+        return _basis(self.ring, self.x, 1, d)
 
     def spans(self, d: int):
         """Every span of degree at most d, and those already built above
         it, in (relation, shift) order.  The shifts x^i*h of a relation h
         are divided on first need, the i < k of degree at most d, so a
-        large k costs nothing until its degrees are asked.  The trivial
-        bundle is the case k = 1 with no division."""
-        g = self.g
-        k, w = (1, 1) if g is None else (g.k, self.ring.weights[g.x])
+        large k costs nothing until its degrees are asked."""
+        x, k = self.x, self.k
+        w = 1 if x is None else self.ring.weights[x]
         one = (0,) * len(self.ring)
         for part in self.parts:
             hi, h, D, built, spans = part
             if built < k:
                 top = min(k, (d - D) // w + 1)
                 for i in range(built, top):
-                    if g is None:
-                        shift, q, r = one, {}, h
-                    else:
-                        shift = one[: g.x] + (i,) + one[g.x + 1 :]
-                        q, r = _divide({tuple(map(add, ex, shift)): c for ex, c in h.items()}, g)
+                    shift, t = one, h  # x^0*h is h itself: no copy
+                    if i:
+                        shift = one[:x] + (i,) + one[x + 1 :]
+                        t = {tuple(map(add, ex, shift)): c for ex, c in h.items()}
+                    q, r = _divide(t, self)
                     if r:
                         spans.append((hi, shift, D + i * w, r, q))
                 part[3] = max(built, top)
@@ -290,31 +305,9 @@ class _Bundle:
 
 
 def _bundle(P: Presentation) -> _Bundle:
-    """The bundle of P, built on first use and kept in `P._bundle`: that
-    of the relation g of positive degree that is monic of least degree k
-    in a variable x, the first such relation in relation order and then
-    the first such variable in ring order on ties; the trivial bundle
-    when no relation is monic.  Monic means that g has a term x^k with
-    coefficient +-1; by homogeneity k*weight(x) = deg g, and no other
-    term of g reaches x-degree k.  The least k leaves the fewest columns:
-    a linear relation (k = 1) eliminates x outright.  The spans are the
-    nonzero remainders of x^i*h for each other relation h and i < k."""
-    if P._bundle is not None:
-        return P._bundle
-    last = len(P.ring) - 1
-    found = [  # (k, relation, variable, x^k) for each monic pure power x^k
-        (max(e), gi, e.index(max(e)), e)
-        for gi, g in enumerate(P.relations)
-        for e, c in g.terms.items()
-        if c in (1, -1) and e.count(0) == last
-    ]
-    monic = None
-    if found:
-        k, gi, x, pure = min(found)  # least k, then relation order, then ring order
-        g = P.relations[gi]
-        tail = tuple((e, c) for e, c in g.terms.items() if e != pure)
-        monic = _Monic(gi, x, k, g.terms[pure], tail)
-    P._bundle = _Bundle(P.ring, monic, P.relations)
+    """The bundle of P, built on first use and kept in `P._bundle`."""
+    if P._bundle is None:
+        P._bundle = _Bundle(P)
     return P._bundle
 
 
@@ -359,11 +352,14 @@ def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
     relation g is monic of degree k in x.  R/I = (R/(g))/(image of I),
     so both have the same cokernel.  With no monic relation this is the
     Macaulay matrix of all degree-d multiples m*g_i of the generators,
-    over monomial_basis(d).
+    over monomial_basis(d).  The matrix of a piece that membership has
+    built and kept is returned as it is, with its Hermite form; any
+    other piece is built afresh and not kept.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return _lattice(_bundle(P), d).A
+    B = _bundle(P)
+    return (B.pieces.get(d) or _lattice(B, d)).A
 
 
 def _unit_multiple(f, g) -> int:
@@ -406,15 +402,15 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
             return Certificate(P, f, cofactors)
     d = f.weighted_degree()
     B = _bundle(P)
-    if B.g is None:
-        q_f, r_f = {}, f.terms
-    else:
-        q_f, r_f = _divide(f.terms, B.g)
+    q_f, r_f = _divide(f.terms, B)
     A, index, labels = B.piece(d)
     y = solve_in_row_lattice(A, _vector_of(r_f, index))
     if y is None:
         return None
-    cof_terms: list[dict[tuple[int, ...], int]] = [dict() for _ in P.relations]
+    # q_f is the cofactor of g, which the trivial bundle does not have
+    cof_terms: list[dict[tuple[int, ...], int]] = [
+        q_f if i == B.gi else {} for i in range(len(P.relations))
+    ]
     for a, ((hi, shift, _, _, q), m) in zip(y, labels):
         if not a:
             continue
@@ -423,8 +419,6 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
         for qe, qc in q.items():
             t = tuple(map(add, m, qe))
             q_f[t] = q_f.get(t, 0) - a * qc
-    if B.g is not None:
-        cof_terms[B.g.gi] = q_f
     # fresh term maps over P.ring; Certificate re-verifies sum(h_i*g_i) = f
     cofactors = [{e: c for e, c in t.items() if c} for t in cof_terms]
     return Certificate(P, f, [Polynomial._trusted(P.ring, t) for t in cofactors])
@@ -489,12 +483,7 @@ def quotient_graded_invariants(P: Presentation, d: int) -> AbelianInvariants:
     """Abelian invariants of the degree-d piece of the quotient ring: the
     Smith form of `ideal_degree_matrix(P, d)`, the small piece over the
     bundle whenever a relation is monic.  When membership has already
-    built that piece, the Smith form is taken of the Hermite form kept on
-    its matrix, whose rows span the same lattice (Kannan and Bachem), and
-    `hnf` is not called again.  Nothing new is kept: a `graded --deg-max D`
-    run builds each of its pieces afresh and lets it go."""
-    B = P._bundle
-    piece = None if B is None else B.pieces.get(d)
-    if piece is not None and piece.A._hnf is not None:
-        return snf(piece.A._hnf[0])
+    built that piece, `snf` starts from the Hermite form kept on its
+    matrix.  Nothing new is kept: a `graded --deg-max D` run builds each
+    of its pieces afresh and lets it go."""
     return snf(ideal_degree_matrix(P, d))

@@ -49,7 +49,9 @@ _OPS = "+-*^()"
 
 # A power of a base of m terms to the n has up to C(n + m - 1, m - 1)
 # terms; a power predicted to have more is refused before it is expanded.
-# At this bound (t + c1)^1999 takes about a second.
+# The bound still admits powers that cost seconds: (t + c1)^1999, 2000
+# terms with coefficients of up to 1994 bits, took 2.0-3.1 s of CPU over
+# three runs on a 2-vCPU Xeon with Python 3.11.
 _MAX_POWER_TERMS = 2000
 
 

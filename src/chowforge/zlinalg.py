@@ -301,8 +301,11 @@ def snf(A: IntMatrix) -> AbelianInvariants:
     divides it: it is the same only when that pass leaves row and
     column k clear, and otherwise it is at most half.  A gcd/lcm pass
     over the diagonal then gives d1 | d2 | ...
+
+    When `hnf` has kept its H on A, the first pass starts from H: its
+    rows span the same lattice, so the cokernel is the same.
     """
-    D = [list(row) for row in A.entries]
+    D = [list(row) for row in (A if A._hnf is None else A._hnf[0]).entries]
     cols = A.cols
     while True:
         rank = _echelon(D, cols, None)

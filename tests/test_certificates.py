@@ -69,7 +69,7 @@ def test_route_of_each_group():
     for group, certs in certificate_groups():
         assert certs and all(cert is not None for cert in certs), group
         routes = {
-            "macaulay" if grideal._bundle(_presentation(cert)).g is None else "bundle"
+            "macaulay" if grideal._bundle(_presentation(cert)).gi is None else "bundle"
             for cert in certs
         }
         assert routes == {ROUTES[group]}, group

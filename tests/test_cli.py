@@ -61,8 +61,26 @@ class TestPresent:
         )
         assert code == 0
         assert out.splitlines()[0] == "ring: c1:1, c2:2, xi2a:1, xi2b:1"
+        # a missing flag is reported before an extra one
         code, _, err = run(capsys, "present", "--theorem", "thm1.2", "--g", "4")
-        assert code == 2
+        assert code == 2 and err == "error: thm1.2 requires --a and --b\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("thm1.3", "--g", "4", "--n", "1", "--a", "7"), "thm1.3 does not take --a"),
+            (("thm1.9", "--g", "3", "--n", "2", "--b", "1"), "thm1.9 does not take --b"),
+            (
+                ("cor1.10", "--g", "4", "--n", "1", "--a", "1", "--b", "2"),
+                "cor1.10 does not take --a or --b",
+            ),
+            (("thm1.2", "--a", "1", "--b", "1", "--n", "0"), "thm1.2 does not take --n"),
+        ],
+    )
+    def test_flags_a_theorem_does_not_take_exit_2(self, capsys, argv, message):
+        # a value given is never silently ignored
+        code, out, err = run(capsys, "present", "--theorem", *argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -158,6 +176,13 @@ class TestGraded:
         assert code == 3 and out == ""
         assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
 
+    def test_flags_a_theorem_does_not_take_exit_2(self, capsys):
+        argv = ("--theorem", "thm1.2", "--a", "1", "--b", "1", "--g", "99", "--deg-max", "1")
+        code, out, err = run(capsys, "graded", *argv)
+        assert (code, out, err) == (2, "", "error: thm1.2 does not take --g\n")
+        code, out, err = run(capsys, "graded", "--theorem", "thm1.3", "--g", "2", "--deg-max", "1")
+        assert (code, out, err) == (2, "", "error: thm1.3 requires --g and --n\n")
+
     def test_deg_max_zero(self, capsys):
         code, out, _ = run(
             capsys,
@@ -220,6 +245,20 @@ class TestGraded:
         )
         assert code == 0
         assert out == (DATA / ("graded-%s-g8-n3-d%d.txt" % (theorem, deg_max))).read_text()
+
+    def test_frozen_thm12(self, capsys):
+        # thm1.2 at (2, 3) has relations monic of k = 2 in two variables,
+        # xi2a and xi2b, and the bundle takes the first; the table is frozen
+        # from the dense oracle on the Macaulay matrices (about 13 s):
+        #   PYTHONPATH=src:tests python -c 'from chowforge.catalog import
+        #   thm_1_2_presentation as T; from macaulay import macaulay; from
+        #   dense_snf import dense_snf; P = T(2, 3); [print("degree %d: %s" %
+        #   (d, dense_snf(macaulay(P, d)).invariants)) for d in range(13)]'
+        #   > tests/data/graded-thm1.2-a2-b3-d12.txt
+        argv = ("--theorem", "thm1.2", "--a", "2", "--b", "3", "--deg-max", "12")
+        code, out, _ = run(capsys, "graded", *argv)
+        assert code == 0
+        assert out == (DATA / "graded-thm1.2-a2-b3-d12.txt").read_text()
 
 
 class TestIdealEq:

@@ -224,7 +224,7 @@ class TestPieceCache:
         P34, ptilde = _lemma34_ideal(3)
         yield P34, ptilde, V(P34.ring, "t1") ** 7
         Q = Presentation(RING, [2 * t, 4 * c2 - 3 * c1 ** 2, 3 * t * c1])
-        assert grideal._bundle(P34).g is not None and grideal._bundle(Q).g is None
+        assert grideal._bundle(P34).gi is not None and grideal._bundle(Q).gi is None
         yield Q, 2 * t * c1 * c2 + 3 * (4 * c2 - 3 * c1 ** 2) * c1 * t, c1 ** 4
         yield Q, 2 * (4 * c2 - 3 * c1 ** 2) - 6 * t * c1, c1 ** 2
 
@@ -258,7 +258,7 @@ class TestPieceCache:
         t, c1 = V(RING, "t"), V(RING, "c1")
         a = 1 if monic else 2
         relations = [a * t ** 5 - a * c1 ** 5, 2 * t + 3 * c1, a * c1 ** 3]
-        assert (grideal._bundle(Presentation(RING, relations)).g is not None) == monic
+        assert (grideal._bundle(Presentation(RING, relations)).gi is not None) == monic
 
         def pieces(degrees):
             B = grideal._bundle(Presentation(RING, relations))
@@ -546,7 +546,7 @@ def _monic_ideals(draw):
 @given(_monic_ideals())
 def test_bundle_route_matches_degree_matrix_oracle(case):
     P, rng = case
-    assert grideal._bundle(P).g is not None
+    assert grideal._bundle(P).gi is not None
     for d in range(5):
         for f in (_random_combination(rng, P, d), _random_homog(rng, P.ring, d)):
             assert (contains(P, f) is not None) == oracle_member(P, f)
@@ -592,7 +592,7 @@ def test_bundle_route_is_taken(monkeypatch):
     built = grideal._lattice
 
     def refuse_trivial(B, d):
-        if B.g is None:
+        if B.gi is None:
             raise AssertionError("membership built the Macaulay matrix")
         return built(B, d)
 
@@ -677,15 +677,33 @@ def test_unit_route_matches_oracle(case):
             assert len(solved) == before + (not unit)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_ideals_without_monic())
+def test_trivial_bundle_divides_by_nothing(case):
+    # the trivial bundle is the case k = 1 with no relation g: a member is
+    # its own remainder, and the spans are the relations as they are
+    P, rng = case
+    B = grideal._bundle(P)
+    assert (B.gi, B.x, B.k) == (None, None, 1)
+    f = _random_homog(rng, P.ring, rng.randint(1, 4))
+    q, r = grideal._divide(f.terms, B)
+    assert (q, r) == ({}, f.terms) and r is f.terms
+    one = (0,) * len(P.ring)
+    top = max(g.weighted_degree() for g in P.relations)
+    spans = [(hi, shift, e, q) for hi, shift, e, _, q in B.spans(top)]
+    assert spans == [(hi, one, g.weighted_degree(), {}) for hi, g in enumerate(P.relations)]
+    assert all(s[3] is g.terms for s, g in zip(B.spans(top), P.relations))
+
+
 class TestBundleEdges:
     def test_unit_ideal_is_never_monic(self):
         one = Polynomial.const(RING, 1)
         t, c1 = V(RING, "t"), V(RING, "c1")
         unit = Presentation(RING, [one])
-        assert grideal._bundle(unit).g is None
+        assert grideal._bundle(unit).gi is None
         assert contains(unit, t * c1) is not None
         P = Presentation(RING, [one, t ** 2 - c1 * t])
-        assert grideal._bundle(P).g.gi == 1
+        assert grideal._bundle(P).gi == 1
         for f in (one, t, V(RING, "c2"), 3 * t ** 2 * c1):
             cert = contains(P, f)
             assert cert is not None and oracle_member(P, f)
@@ -696,7 +714,7 @@ class TestBundleEdges:
         # c2 - c1^2 is monic in c1 (k = 2) and in c2 (k = 1): the least k wins
         for g, var in ((c2 - c1 ** 2, "c2"), (c2 - 3 * c1 ** 2, "c2")):
             P = Presentation(R, [g, 2 * c1])
-            assert grideal._bundle(P).g.x == R.index(var)
+            assert grideal._bundle(P).x == R.index(var)
             for f in (2 * c2, c2, c1 * c2, 2 * c1 * c2 + c1 ** 3, c2 ** 2):
                 assert (contains(P, f) is not None) == oracle_member(P, f)
             assert contains(P, 2 * c2) is not None
@@ -708,9 +726,9 @@ class TestBundleEdges:
         # degree 1 in t, so it wins over the earlier relations monic in t^2
         P = catalog.cor_1_10_presentation(g, n)
         B = grideal._bundle(P)
-        assert (B.g.gi, P.ring.names[B.g.x], B.g.k) == (len(P.relations) - 1, "t", 1)
-        assert B.g.sign == -1 and B.g.tail
-        assert any(r.terms.get((2, 0, 0, 0)) == 1 for r in P.relations[: B.g.gi])
+        assert (B.gi, P.ring.names[B.x], B.k) == (len(P.relations) - 1, "t", 1)
+        assert B.sign == -1 and B.tail
+        assert any(r.terms.get((2, 0, 0, 0)) == 1 for r in P.relations[: B.gi])
 
     def test_member_below_the_monic_degree(self):
         t, c1 = V(RING, "t"), V(RING, "c1")
@@ -770,7 +788,7 @@ def _graded_monic_ideals(draw):
 @given(_graded_monic_ideals())
 def test_graded_invariants_match_macaulay_oracle(case):
     P, D = case
-    assert grideal._bundle(P).g is not None
+    assert grideal._bundle(P).gi is not None
     top = D + max(g.weighted_degree() for g in P.relations)
     for d in range(top + 2):
         assert quotient_graded_invariants(P, d) == dense_snf(macaulay(P, d)).invariants
@@ -790,7 +808,7 @@ def test_catalog_graded_invariants_match_macaulay_oracle(name, params):
     # the production snf stands in for the dense one past degree 8, where
     # the cor1.10 and thm1.2 Macaulay matrices reach 1456x252
     P = getattr(catalog, name)(*params)
-    assert grideal._bundle(P).g is not None
+    assert grideal._bundle(P).gi is not None
     for d in range(13):
         M = macaulay(P, d)
         expected = dense_snf(M).invariants if d <= 8 else snf(M)
@@ -858,3 +876,26 @@ def test_graded_invariants_read_the_kept_hermite_form(make, monkeypatch):
     monkeypatch.setattr(grideal, "snf", lambda A: calls.append(A) or original(A))
     assert [quotient_graded_invariants(P, d) for d in degrees] == cold
     assert len(calls) == len(degrees)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog.thm_1_3_presentation(8, 3),
+        lambda: catalog.thm_1_9_presentation(21, 5),
+        lambda: _lemma34_ideal(3)[0],
+    ],
+    ids=["thm1.3", "thm1.9", "lemma34"],
+)
+def test_degree_matrix_is_the_kept_piece(make):
+    """`ideal_degree_matrix` returns the matrix of the piece that
+    membership built and kept, equal to the matrix a fresh copy builds;
+    on a presentation with no kept piece it builds one and keeps none."""
+    P = make()
+    fresh = Presentation(P.ring, P.relations)
+    for d in range(6):
+        contains(P, Polynomial(P.ring, {monomial_basis(P.ring, d)[0]: 1}))
+        assert ideal_degree_matrix(P, d) is P._bundle.pieces[d].A
+        assert ideal_degree_matrix(P, d) == ideal_degree_matrix(fresh, d)
+        quotient_graded_invariants(fresh, d)
+    assert fresh._bundle.pieces == {}

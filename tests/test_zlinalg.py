@@ -368,6 +368,27 @@ def test_hnf_matches_dense_oracle(rows, rng):
     _assert_matches_dense_oracle(A, ys, members + others)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_zeroed_mats, _low_rank_mats))
+def test_snf_starts_from_the_kept_hermite_form(rows):
+    # H spans the row lattice of A, so both have one cokernel; its first
+    # pass echelons H, not the entries of A
+    A = mat(rows)
+    H, _ = hnf(A)
+    passes = []
+    echelon = zlinalg._echelon
+
+    def logged(D, *args):
+        passes.append([list(r) for r in D])
+        return echelon(D, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlinalg, "_echelon", logged)
+        kept = snf(A)
+    assert passes[0] == [list(r) for r in H.entries]
+    assert kept == snf(mat(rows)) == dense_snf(A).invariants
+
+
 def _lemma34_system(j):
     """The degree-(2j+1) Macaulay matrix of the Lemma 3.4 ideal and the
     coefficient vector of its product of the 2j+1 hyperplane classes."""
