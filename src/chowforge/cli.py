@@ -10,8 +10,13 @@ user-supplied ideal files).
 Exit codes: 0 = all checks pass / equality holds, 1 = a check failed or
 the ideals differ, 2 = usage or parse error, 3 = an unexpected error (the
 traceback goes to stderr) or running out of memory.  Identical invocations
-produce byte-identical output; ``--jobs`` changes wall time only, and
-each worker runs one contiguous share of the grid points.
+produce byte-identical output; ``--jobs`` changes wall time only.
+``verify --jobs N`` cuts the grid points into at most N contiguous shares,
+runs the first itself and forks one child for each other share, which
+sends its reports back through a pipe.  There is no process pool: the
+children are forked with ``os.fork`` because multiprocessing's default
+start method on Linux becomes forkserver in Python 3.14, whose workers
+would each import chowforge again.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import os
 import sys
 from functools import partial
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from . import catalog
 from .catalog import ParamError, Params
@@ -299,6 +304,64 @@ def _run_batch(batch: list[tuple[str, Params]]) -> list[CheckReport]:
     return [_run_task(t) for t in batch]
 
 
+def _fork(share: list[list[tuple[str, Params]]]) -> tuple[int, BinaryIO]:
+    """Forks a child that runs the batches of `share` and writes the pickled
+    list of their report lists to a pipe; returns the child's pid and the
+    read end of the pipe."""
+    import pickle  # loaded only where a share is forked, before the fork
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child leaves through os._exit whatever happens, so it never
+        # returns into main and never flushes the parent's stdio
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump([_run_batch(b) for b in share], fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _run_shares(shares: list[list[list[tuple[str, Params]]]]) -> list[list[CheckReport]]:
+    """The report lists of every batch, in share order.  One child is forked
+    for each share after the first before any check runs; this process runs
+    the first share, then reads each child's pipe to EOF and reaps it.  A
+    child that exits nonzero or dies of a signal raises; on the way out
+    every child not yet reaped is killed and reaped, so none outlives the
+    call."""
+    children = []  # (pid, pipe) of each share after the first, not yet reaped
+    try:
+        for share in shares[1:]:
+            children.append(_fork(share))
+        done = [_run_batch(b) for b in shares[0]]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status < 0:
+                raise ChildProcessError("verify worker %d died of signal %d" % (pid, -status))
+            if status:
+                raise ChildProcessError("verify worker %d exited with status %d" % (pid, status))
+            import pickle  # loaded by _fork
+
+            done += pickle.loads(data)
+        return done
+    finally:
+        for pid, pipe in children:
+            import signal
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _external_reports(path: str) -> list[CheckReport]:
     """Checks for a user-supplied ideal file: serialization round trip and
     properness of the presented ideal (no unit relation)."""
@@ -336,17 +399,13 @@ def _cmd_verify(args) -> int:
     if args.external is not None:
         return _emit_reports(_external_reports(args.external), args.format)
     batches = _grid_batches(args.suite, args.g_max, args.ab_max)
-    workers = min(args.jobs, len(batches))
-    if workers <= 1:
-        done = map(_run_batch, batches)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only --jobs above 1 loads it
-
-        # one contiguous share of grid points per worker; the fork start
-        # method forks every worker up front
-        share = -(-len(batches) // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_batch, batches, chunksize=share))
+    # one contiguous share of grid points per worker, the first run by this
+    # process and the others by children forked up front (os.fork, not a
+    # pool whose start method becomes forkserver in Python 3.14); without
+    # os.fork the whole grid is one share
+    workers = min(args.jobs, len(batches)) if hasattr(os, "fork") else 1
+    size = -(-len(batches) // workers)
+    done = _run_shares([batches[i:i + size] for i in range(0, len(batches), size)])
     reports = sorted(
         (r for batch in done for r in batch),
         key=lambda r: (r.check_id, r.params.sort_key()),

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -521,47 +522,48 @@ class TestVerify:
         monkeypatch.setenv("CHOWFORGE_JOBS", "abc")
         assert run(capsys, *args) == serial
 
-    def test_pool_capped_at_task_count(self, capsys, monkeypatch):
-        class FakePool:
-            """Records the pool size and the chunk size, and runs the tasks
-            in this process."""
+    def test_shares_capped_at_grid_points(self, capsys, monkeypatch):
+        from chowforge import cli
 
-            sizes = []
-            chunks = []
+        shares, forked = [], []  # the share lengths of each run; each forked share's length
+        run_shares, fork = cli._run_shares, cli._fork
 
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
+        def recording(cut):
+            shares.append([len(share) for share in cut])
+            return run_shares(cut)
 
-            def __enter__(self):
-                return self
+        def forking(share):
+            forked.append(len(share))
+            return fork(share)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                self.chunks.append(chunksize)
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_run_shares", recording)
+        monkeypatch.setattr(cli, "_fork", forking)
         # 4 checks on 2 grid points, (a, b) = (1, 1) and the one without
-        # parameters; the checks of a grid point run in one worker
+        # parameters; the checks of a grid point run in one share
         args = ("verify", "--suite", "identities", "--ab-max", "1")
         code, out, _ = run(capsys, *args, "--jobs", "64")
         assert code == 0 and "4 checks, 0 failed" in out
-        assert FakePool.sizes == [2]
+        assert shares == [[1, 1]] and forked == [1]
         assert run(capsys, *args, "--jobs", "3")[1] == out
-        assert FakePool.sizes == [2, 2]
-        assert FakePool.chunks == [1, 1]
-        # 5 grid points on 2 workers: one contiguous share of 3 and one of 2
+        assert shares == [[1, 1]] * 2 and forked == [1, 1]
+        # 5 grid points on 2 workers: one contiguous share of 3, run here,
+        # and one of 2, forked
         args = ("verify", "--suite", "identities", "--ab-max", "2")
         assert run(capsys, *args, "--jobs", "2")[0] == 0
-        assert FakePool.sizes[-1] == 2 and FakePool.chunks[-1] == 3
+        assert shares[-1] == [3, 2] and forked[-1] == 2
+        # one worker forks nothing
+        forked.clear()
+        assert run(capsys, *args, "--jobs", "1")[0] == 0
+        assert shares[-1] == [5] and forked == []
 
     def test_jobs_change_no_byte(self, capsys):
-        args = ("verify", "--suite", "all", "--g-max", "6", "--ab-max", "2", "--format", "json")
-        serial = run(capsys, *args, "--jobs", "1")
-        assert serial[0] == 1 and serial[1].count("\n") == 38
-        assert run(capsys, *args, "--jobs", "2") == serial
+        args = ("verify", "--suite", "all", "--g-max", "6", "--ab-max", "2")
+        # 38 reports, then in text the summary and the first failure
+        for fmt, lines in (("json", 38), ("text", 40)):
+            serial = run(capsys, *args, "--format", fmt, "--jobs", "1")
+            assert serial[0] == 1 and serial[1].count("\n") == lines
+            for jobs in ("2", "3", "4"):
+                assert run(capsys, *args, "--format", fmt, "--jobs", jobs) == serial
 
     def test_each_derivation_built_once(self, capsys, monkeypatch):
         from chowforge import catalog
@@ -749,6 +751,63 @@ class TestVerify:
         assert err.startswith("error: %s: " % latin1)
 
 
+class TestWorkers:
+    """`verify --jobs` forks one child per share after the first.  Each case
+    runs in a fresh interpreter under a timeout, with coeff-identity-fg
+    replaced by `check`; at --ab-max 2 the first share holds (a, b) = (1, 1),
+    (1, 2) and (2, 1), and the forked one (2, 2) and the point without
+    parameters."""
+
+    SCRIPT = (
+        "import os, signal, sys, time\n"
+        "from chowforge import cli\n"
+        "parent = os.getpid()\n"
+        "def check(p):\n"
+        "    here = 'parent' if os.getpid() == parent else 'child'\n"
+        "%s\n"
+        "    return True, None\n"
+        "cli._CHECKS['coeff-identity-fg'] = ('identities', 'ab', check)\n"
+        "argv = ['verify', '--suite', 'identities', '--ab-max', '2', '--jobs', '2']\n"
+    )
+
+    def verify(self, body, tail="sys.exit(cli.main(argv))\n"):
+        return fresh("-c", self.SCRIPT % body + tail, timeout=60)
+
+    def test_killed_child_exits_3(self):
+        done = self.verify("    if here == 'child': os.kill(os.getpid(), signal.SIGKILL)")
+        assert done.returncode == 3
+        assert "died of signal %d" % signal.SIGKILL in done.stderr
+        assert "checks," not in done.stdout
+
+    def test_interrupt_in_parent_leaves_no_child(self):
+        # the child sleeps, so it is still running when the parent's share
+        # is interrupted
+        tail = (
+            "try:\n"
+            "    cli.main(argv)\n"
+            "except KeyboardInterrupt:\n"
+            "    pass\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n"
+        )
+        body = (
+            "    if here == 'parent': raise KeyboardInterrupt\n"
+            "    time.sleep(30)"
+        )
+        done = self.verify(body, tail)
+        assert done.stdout == "no child\n"
+
+    def test_exception_is_an_error_verdict_in_either_process(self):
+        done = self.verify("    raise ValueError('boom in ' + here)")
+        assert done.returncode == 1
+        lines = done.stdout.splitlines()
+        assert "ERROR coeff-identity-fg [a=1, b=1]: error: boom in parent" in lines
+        assert "ERROR coeff-identity-fg [a=2, b=2]: error: boom in child" in lines
+        assert "10 checks, 4 failed" in lines
+
+
 # modules that only some commands use; importing the package or the CLI
 # must not load them, since every command pays for what the import loads
 ON_DEMAND = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "logging")
@@ -764,3 +823,15 @@ def test_import_loads_no_on_demand_module(module):
     )
     out = fresh("-c", code, check=True).stdout
     assert out == "[]\n"
+
+
+def test_verify_jobs_loads_no_pool():
+    """`verify --jobs 2` forks its children without concurrent.futures or
+    multiprocessing."""
+    code = (
+        "import sys; from chowforge.cli import main; "
+        "main(['verify', '--suite', 'identities', '--ab-max', '2', '--jobs', '2']); "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = fresh("-c", code, check=True, timeout=60).stdout
+    assert out.endswith("10 checks, 0 failed\n[]\n")
