@@ -2,18 +2,17 @@
 
 Row-style Hermite normal form with a unimodular transform, Smith
 invariants, and lattice membership with re-verified certificates.  One
-elimination loop serves both normal forms.  Its rows are dense lists, but
-a step touches only the rows that are nonzero in the pivot column and, in
-each, only the columns where the pivot row is nonzero: the Macaulay
-matrices of `grideal` are a few percent dense.  The pivots and the order
-of the row operations are those of the dense loop, which is kept as the
-test oracle `tests/dense_hnf.py`, so the results are the same.  The
-transform U of `hnf` is kept as the log of its row operations (the
-product form of Dantzig and Orchard-Hays, 1954): a certificate x = y.U
-replays the log on the one vector y, and the dense U is built from the
-log only on first read of its entries.  Everything is plain Python ints,
-so results are exact at any size; pivoting by minimal absolute value
-keeps the intermediate entries from exploding.
+forward loop eliminates for both normal forms; only `hnf` reduces above
+its pivots.  Its rows are dense lists, but a step touches only the rows
+nonzero in the pivot column and, in each, only the columns where the pivot
+row is nonzero: the Macaulay matrices of `grideal` are a few percent
+dense.  H and U are those of the dense loop, kept as the test oracle
+`tests/dense_hnf.py`.  The transform U of `hnf` is kept as the log of its
+row operations (the product form of Dantzig and Orchard-Hays, 1954): a
+certificate x = y.U replays the log on the one vector y, and the dense U
+is built from the log only on first read of its entries.  Everything is
+plain Python ints, so results are exact at any size; pivoting by minimal
+absolute value keeps the intermediate entries from exploding.
 
 The public `IntMatrix` constructor checks every entry.  The matrices the
 kernel builds itself, the H of `hnf` and the degree pieces of `grideal`,
@@ -143,26 +142,26 @@ class AbelianInvariants(_AbelianInvariants):
         return " + ".join(parts) if parts else "0"
 
 
-def _echelon(H: list[list[int]], cols: int, ops: list[tuple[int, int, int]] | None) -> int:
-    """Bring the rows H to row-style Hermite normal form in place and
-    return the rank.  When a list `ops` is given, each row operation is
+def _echelon(H: list[list[int]], cols: int, ops: list[tuple[int, int, int]] | None) -> list[int]:
+    """Bring the rows H to row echelon form in place by forward elimination,
+    and return the pivot column of each nonzero row: those rows come first,
+    each pivot is positive with zeros left of it, and the rows above a pivot
+    are not reduced.  When a list `ops` is given, each row operation is
     appended to it as one tuple: (i, r, q) for row i -= q.row r, (r, p, 0)
     for a swap of rows r and p, and (r, r, 0) for a negation of row r.
-    Applied in order to the identity, the log gives the U with U.A = H;
-    no dense transform is built here.
+    Applied in order to the identity, the log gives the U with U.A = H.
 
     A step touches only nonzeros.  Column c collects once the rows at or
     below r that are nonzero in it.  The pivot is chosen among them, and
     each gcd pass reduces only them and keeps those still nonzero in c: a
     row that is zero in c never changes in c.  The pivot row's nonzero
     entries from c on are listed once per pivot row as (j, a) pairs, and
-    a reduced row is updated only there; the back-reduction above the
-    pivot builds that list only if some row needs it.  The operations and
-    their order are those of the dense loop (the first row of least
-    nonzero |entry| is the pivot, q is the floor quotient, rows are
-    reduced in increasing order), so H and the log are the same as
-    there."""
+    a reduced row is updated only there.  The pivots and operations are
+    the dense loop's (the first row of least nonzero |entry| is the
+    pivot, q is the floor quotient, rows are reduced in increasing
+    order)."""
     n = len(H)
+    pivots = []
     r = 0
     for c in range(cols):
         rows = [i for i in range(r, n) if H[i][c]]
@@ -205,27 +204,15 @@ def _echelon(H: list[list[int]], cols: int, ops: list[tuple[int, int, int]] | No
             if len(left) == 1:
                 break
             rows = left
-        hr = H[r]
-        if hr[c] < 0:
-            hr = H[r] = [-x for x in hr]
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
             if ops is not None:
                 ops.append((r, r, 0))
-            piv = None
-        p = hr[c]
-        for i in range(r):
-            hi = H[i]
-            q = hi[c] // p
-            if q:
-                if piv is None:
-                    piv = [(j, a) for j, a in enumerate(hr[c:], c) if a]
-                for j, a in piv:
-                    hi[j] -= q * a
-                if ops is not None:
-                    ops.append((i, r, q))
+        pivots.append(c)
         r += 1
         if r == n:
             break
-    return r
+    return pivots
 
 
 class _LoggedTransform(IntMatrix):
@@ -274,12 +261,25 @@ def hnf(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     equality of HNFs.  U is kept as the log of the row operations:
     `U.row_mul` replays it on one vector, and `U.entries` is built from
     it on first read.  The pair is kept on A, so a later call on the same
-    matrix returns the same (H, U) without eliminating again.
+    matrix returns the same (H, U) without eliminating again.  The rows
+    above each pivot are reduced after `_echelon`, in one top-down sweep:
+    the loop never touches them, so their values are the dense loop's.
     """
     if A._hnf is None:
         H = [list(row) for row in A.entries]
         ops: list[tuple[int, int, int]] = []
-        _echelon(H, A.cols, ops)
+        for r, c in enumerate(_echelon(H, A.cols, ops)):
+            hr, piv = H[r], None  # piv: the nonzero (j, a) of H[r] from column c on
+            p = hr[c]
+            for i in range(r):
+                hi = H[i]
+                q = hi[c] // p
+                if q:
+                    if piv is None:
+                        piv = [(j, a) for j, a in enumerate(hr[c:], c) if a]
+                    for j, a in piv:
+                        hi[j] -= q * a
+                    ops.append((i, r, q))
         A._hnf = (IntMatrix._trusted(A.cols, H), _LoggedTransform(A.rows, ops))
     return A._hnf
 
@@ -290,17 +290,17 @@ def snf(A: IntMatrix) -> AbelianInvariants:
     determine the Smith diagonal d1 | d2 | ...: cols - free_rank nonzero
     entries, the torsion preceded by ones.
 
-    The elimination alternates Hermite forms of the rows and of the
-    columns (Kannan and Bachem, SIAM J. Comput. 8(4), 1979): each pass
-    echelons the rows, drops the zero rows and transposes, until the
-    block is diagonal.  The loop ends.  A cleared row or column stays
-    clear, since its pivot divides the rest of its column and is the
-    first minimal entry there, so the echelon keeps it in place.  At
-    the first k whose row or column is not clear, each pass makes the
-    new (k, k) pivot the gcd of the line through the old one, so it
-    divides it: it is the same only when that pass leaves row and
-    column k clear, and otherwise it is at most half.  A gcd/lcm pass
-    over the diagonal then gives d1 | d2 | ...
+    The elimination alternates echelon forms of the rows and of the columns
+    (Kannan and Bachem, SIAM J. Comput. 8(4), 1979): each pass runs
+    `_echelon`'s forward loop on the rows, drops the zero rows and
+    transposes, until each pivot divides its row.  Column operations, bottom
+    row first, would then leave only the pivots, so a gcd/lcm pass over them
+    gives d1 | d2 | ...  A diagonal block stops the loop, so it ends: a
+    cleared row or column stays clear, as the echelon keeps its lone pivot
+    in place.  At the first k whose row or column is not clear, each pass
+    makes the new (k, k) pivot the gcd of the line through the old one, so
+    it divides it: it is the same only when that pass leaves row and column
+    k clear, and otherwise at most half.
 
     When `hnf` has kept its H on A, the first pass starts from H: its
     rows span the same lattice, so the cokernel is the same.
@@ -308,18 +308,18 @@ def snf(A: IntMatrix) -> AbelianInvariants:
     D = [list(row) for row in (A if A._hnf is None else A._hnf[0]).entries]
     cols = A.cols
     while True:
-        rank = _echelon(D, cols, None)
-        del D[rank:]
-        if all(not any(row[i + 1 :]) for i, row in enumerate(D)):
+        pivots = _echelon(D, cols, None)
+        del D[len(pivots) :]
+        if not any(x % row[c] for row, c in zip(D, pivots) for x in row):
             break
         D = [list(col) for col in zip(*D)]
-        cols = rank
-    diag = [row[i] for i, row in enumerate(D)]
-    for i in range(rank):
-        for j in range(i + 1, rank):
+        cols = len(pivots)
+    diag = [row[c] for row, c in zip(D, pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return AbelianInvariants(free_rank=A.cols - rank, torsion=tuple(x for x in diag if x >= 2))
+    return AbelianInvariants(free_rank=A.cols - len(diag), torsion=tuple(x for x in diag if x >= 2))
 
 
 def solve_in_row_lattice(A: IntMatrix, v: Sequence[int]) -> tuple[int, ...] | None:

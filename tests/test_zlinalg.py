@@ -449,6 +449,49 @@ def test_sparse_matches_dense_oracles(rows, rng):
     assert snf(A) == dense_snf(A).invariants
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_zeroed_mats, _low_rank_mats, _sparse_mats()))
+def test_echelon_is_forward_elimination(rows):
+    # the loop's contract: an echelon form with positive pivots and the
+    # zero rows last, spanning the row lattice of A, reached by the log
+    A = mat(rows)
+    H = [list(r) for r in rows]
+    ops = []
+    pivots = zlinalg._echelon(H, A.cols, ops)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for row, c in zip(H, pivots):
+        assert row[c] > 0 and not any(row[:c])
+    assert not any(map(any, H[len(pivots) :]))
+    assert dense_hnf(mat(H, A.cols))[0] == dense_hnf(A)[0]
+    U = [[int(i == k) for i in range(A.rows)] for k in range(A.rows)]
+    for i, r, q in ops:
+        if q:
+            U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+        elif i != r:
+            U[i], U[r] = U[r], U[i]
+        else:
+            U[i] = [-a for a in U[i]]
+    assert naive_mul(U, rows) == H
+
+
+@pytest.mark.parametrize(
+    "rows, torsion",
+    [
+        ([[-4]], (4,)),
+        ([[-2, 0], [0, -6]], (2, 6)),
+        ([[0, -3], [-5, 0]], (15,)),
+        ([[-2, 0, 0], [0, -2, 0], [0, 0, -2]], (2, 2, 2)),
+    ],
+)
+def test_snf_of_negative_pivots(rows, torsion):
+    # every pivot of snf's own passes comes out negative (A keeps no
+    # Hermite form): snf keeps the diagonal entries >= 2, so a pivot left
+    # negative would drop out of the torsion; an even count of them cancels
+    # in the gcd/lcm pass, an odd count does not
+    A = mat(rows)
+    assert snf(A) == dense_snf(A).invariants == AbelianInvariants(0, torsion)
+
+
 # Each case drives one branch of the sparse column step.
 _EDGE_CASES = {
     # row r is zero in column c while lower rows are not: the pivot moves
