@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .chowops import adjoin_generator, root_gerbe_adjoin, torsor_quotient
-from .grideal import Certificate, Presentation, contains
+from .grideal import Certificate, Presentation, contains, contains_product
 from .intpoly import Polynomial, ring_make
 
 __all__ = [
@@ -323,10 +323,10 @@ def _monic_hyperplane_membership(j: int) -> Certificate | None:
     of the projectivized symmetric power in the ideal of the two torus
     pushforward classes, over Z[xi, t1, t2].
 
-    The i-th class xi - i*t1 - (2j-i)*t2 is the image of u + i*v under
-    u -> xi - 2j*t2, v -> t2 - t1, so the product is multiplied out in
-    Z[u, v] and mapped once: about a third of the term products of the
-    direct product over Z[xi, t1, t2]."""
+    The classes xi - i*t1 - (2j-i)*t2, i = 0..2j, are passed as factors
+    to `contains_product`, which reduces their product modulo the monic
+    class gen2 one factor at a time and never multiplies it out; the
+    certificate expands the member and its cofactors only when read."""
     R = ring_make([("xi%d" % (2 * j), 1), ("t1", 1), ("t2", 1)])
     xi = Polynomial.var(R, "xi%d" % (2 * j))
     t1 = Polynomial.var(R, "t1")
@@ -335,14 +335,7 @@ def _monic_hyperplane_membership(j: int) -> Certificate | None:
     gen1 = 2 * (2 * j - 1) * xi - 2 * j * (2 * j - 1) * s
     gen2 = xi ** 2 - s * xi - 2 * j * (2 * j - 2) * (t1 * t2)
     ideal = Presentation(R, [gen1, gen2])
-    S = ring_make([("u", 1), ("v", 1)])
-    u = Polynomial.var(S, "u")
-    v = Polynomial.var(S, "v")
-    product = Polynomial.const(S, 1)
-    for i in range(2 * j + 1):
-        product = product * (u + i * v)
-    ptilde = product.substitute({"u": xi - 2 * j * t2, "v": t2 - t1}, R)
-    return contains(ideal, ptilde)
+    return contains_product(ideal, [xi - i * t1 - (2 * j - i) * t2 for i in range(2 * j + 1)])
 
 
 def lemma_3_4_check(a: int, b: int) -> Lemma34Result:

@@ -32,7 +32,26 @@ asks about, built once, with its Hermite form kept on its matrix.  It is
 kept on the presentation, and every answer is still solved and
 re-verified on its own.
 Membership certificates are reassembled into explicit polynomial
-cofactors and re-verified by exact arithmetic before being returned.
+cofactors and re-verified by exact arithmetic before being returned;
+those of a product member (below) are reassembled and re-verified when
+first read.
+
+A member given as a product of homogeneous factors L_1*...*L_n
+(`contains_product`) is not multiplied out.  Starting from r_0 = 1,
+each step divides r_(i-1)*L_i by g into q_i*g + r_i, with r_i of
+x-degree below k; on the trivial bundle q_i = 0 and r_i is the running
+product.  Division by a monic relation leaves a unique remainder, so
+r_n is the r_f that `contains` takes from the expanded product, and
+`contains(P, r_n)` solves it on the same piece.  The certificate is a
+straight-line program (Kaltofen, J. ACM 35(1), 1988): the factors, each
+step re-verified as it is made and then let go, and the certificate of
+r_n.  Its member and cofactors are expanded only when read: the product
+is C_n*g + r_n, and C_n, unique by the division, is the quotient of the
+expanded member by g, so g's cofactor is C_n plus that of r_n.  They
+equal those that `contains` gives for the expanded product, and are
+re-verified before they are kept.  A product that has the degree of a
+relation, and so may be +-1 times one, is multiplied out and passed to
+`contains`.
 """
 
 from __future__ import annotations
@@ -41,7 +60,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .intpoly import Polynomial, RingSpec, _substitute_all
+from .intpoly import Polynomial, RingSpec, _add_product, _nonzero, _product, _substitute_all
 from .zlinalg import AbelianInvariants, IntMatrix, snf, solve_in_row_lattice
 
 __all__ = [
@@ -51,6 +70,7 @@ __all__ = [
     "monomial_basis",
     "ideal_degree_matrix",
     "contains",
+    "contains_product",
     "ideal_equal",
     "eliminate_linear",
     "quotient_graded_invariants",
@@ -422,6 +442,94 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
     # fresh term maps over P.ring; Certificate re-verifies sum(h_i*g_i) = f
     cofactors = [{e: c for e, c in t.items() if c} for t in cof_terms]
     return Certificate(P, f, [Polynomial._trusted(P.ring, t) for t in cofactors])
+
+
+def _expand(ring: RingSpec, factors: Sequence[Polynomial]) -> dict:
+    """The terms of the product of `factors`, multiplied out in order."""
+    p = {(0,) * len(ring): 1}
+    for L in factors:
+        p = _product(p, L.terms)
+    return p
+
+
+class _ProductCertificate(Certificate):
+    """A certificate for a product member L_1*...*L_n as a straight-line
+    program: the factors and `remainder`, a certificate of the last
+    remainder r_n of the chain in `contains_product`, whose steps were
+    re-verified as they were made.  No quotient is kept.
+
+    `member` and `cofactors` fill the slots of `Certificate` on first
+    read.  The member is the product multiplied out.  Division by the
+    monic g leaves a unique quotient, so g's cofactor is the quotient of
+    the member by g plus the cofactor of g in `remainder`; the others are
+    those of `remainder`.  The cofactors are then re-verified against the
+    member, as `Certificate` does, before they are kept."""
+
+    __slots__ = ("remainder", "factors")
+
+    def __init__(self, remainder: Certificate, factors: tuple[Polynomial, ...]):
+        self.relations = remainder.relations
+        self.remainder = remainder
+        self.factors = factors
+
+    def __getattr__(self, name: str):
+        # reached only while the slot `member` or `cofactors` is unset
+        if name == "member":
+            ring = self.remainder.member.ring
+            self.member = Polynomial._trusted(ring, _expand(ring, self.factors))
+            return self.member
+        if name == "cofactors":
+            ring = self.remainder.member.ring
+            member = self.member
+            B = _Bundle(Presentation(ring, self.relations))
+            cofactors = list(self.remainder.cofactors)
+            if B.gi is not None:
+                q, _ = _divide(member.terms, B)
+                cofactors[B.gi] = cofactors[B.gi] + Polynomial._trusted(ring, q)
+            if Polynomial.sum_of_products(ring, zip(cofactors, self.relations)) != member:
+                raise AssertionError("certificate failed polynomial re-verification")
+            self.cofactors = tuple(cofactors)
+            return self.cofactors
+        raise AttributeError(name)
+
+
+def contains_product(P: Presentation, factors: Iterable[Polynomial]) -> Certificate | None:
+    """Membership of the product of homogeneous `factors` (1 for none),
+    decided without multiplying it out, with the certificate and the
+    verdict that `contains` gives for the expanded product.
+
+    Each step splits r*L, for the running remainder r (at first 1) and
+    the next factor L, into q*g + r' by `_divide`, re-verifies that
+    identity and goes on with r'; a zero factor leaves r = 0 from there
+    on.  The last remainder is the r_f that `contains` takes from the
+    expanded member, and `contains(P, r)` solves it on the same piece.  A
+    product of the degree of a relation (it may then be +-1 times a
+    relation, which `contains` answers by that relation alone) is
+    multiplied out and passed to `contains` as it is.
+    """
+    factors = tuple(factors)
+    ring = P.ring
+    if any(L.ring != ring for L in factors):
+        raise ValueError("ring mismatch")
+    # the degree of the product; weighted_degree raises NotHomogeneousError
+    # on mixed degrees, and a zero factor, of every degree, adds nothing
+    d = sum(L.weighted_degree() for L in factors if L.terms)
+    if any(ring.exponent_degree(next(iter(g.terms))) == d for g in P.relations):
+        return contains(P, Polynomial._trusted(ring, _expand(ring, factors)))
+    B = _bundle(P)
+    g = {} if B.gi is None else P.relations[B.gi].terms
+    r = {(0,) * len(ring): 1}
+    for L in factors:
+        p = _product(r, L.terms)
+        q, r = _divide(p, B)
+        check = dict(r)
+        _add_product(check, q, g)
+        if _nonzero(check) != p:
+            raise AssertionError("division step failed re-verification")
+    remainder = contains(P, Polynomial._trusted(ring, r))
+    if remainder is None:
+        return None
+    return _ProductCertificate(remainder, factors)
 
 
 class EqualityResult(NamedTuple):

@@ -342,8 +342,8 @@ class TestLemma34:
 
     @pytest.mark.parametrize("j", range(1, 13))
     def test_member_is_the_direct_product(self, j):
-        # the member is built in Z[u, v] and mapped by u -> xi - 2j*t2,
-        # v -> t2 - t1; it must be the product of the 2j+1 classes
+        # the member is given as its 2j+1 factors and multiplied out only
+        # when read; it must be the product of the 2j+1 classes
         from chowforge import catalog
 
         cert = catalog._monic_hyperplane_membership.__wrapped__(j)
@@ -353,6 +353,15 @@ class TestLemma34:
         for i in range(2 * j + 1):
             product = product * (xi - i * t1 - (2 * j - i) * t2)
         assert cert.member == product
+
+    def test_cofactors_are_built_once(self):
+        # the dense cofactor of gen2 is expanded on the first read and kept
+        from chowforge import catalog
+
+        cert = catalog._monic_hyperplane_membership.__wrapped__(6)
+        cofactors = cert.cofactors
+        assert cert.cofactors is cofactors
+        assert cert.member is cert.member
 
     def test_kept_certificates_keep_no_bundle(self):
         import gc

@@ -749,6 +749,164 @@ class TestBundleEdges:
 
 
 # ----------------------------------------------------------------------------
+# members given as products against contains of the expanded product
+# ----------------------------------------------------------------------------
+
+
+def _expanded(ring, factors):
+    f = Polynomial.const(ring, 1)
+    for L in factors:
+        f = f * L
+    return f
+
+
+@st.composite
+def _product_cases(draw):
+    """A random ring of 2-4 variables of weight 1 or 2; a presentation
+    over it with one monic relation sign*v^k + (terms of v-degree < k),
+    k = 1..3, among 0-2 others, or with no monic relation (each generator
+    2 or 3 times a random form); and 0-4 homogeneous factors of total
+    degree at most 8, each a random form, a relation, a variable or,
+    rarely, zero.  Half the time +-1 times their product joins the
+    relations, with copies of the relations."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    names = ("x", "y", "z", "w")[: draw(st.integers(2, 4))]
+    ring = ring_make([(name, draw(st.sampled_from((1, 2)))) for name in names])
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        h = _random_homog(rng, ring, rng.randint(1, 2), lo=-4, hi=4, density=0.5)
+        if h.terms:
+            gens.append(h)
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(names))
+        k = draw(st.integers(1, 3))
+        x = ring.index(v)
+        tail = _random_homog(rng, ring, k * ring.weight_of(v), lo=-3, hi=3, density=0.5)
+        tail = Polynomial(ring, {e: c for e, c in tail.terms.items() if e[x] < k})
+        g = draw(st.sampled_from((1, -1))) * Polynomial.var(ring, v) ** k + tail
+        gens.insert(draw(st.integers(0, len(gens))), g)
+    else:
+        gens = [rng.choice((2, 3)) * h for h in gens] or [2 * Polynomial.var(ring, names[0])]
+    P = Presentation(ring, gens)
+    factors = []
+    for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4, 4))):
+        kind = rng.choice(("form", "form", "form", "relation", "variable", "variable") * 2 + ("zero",))
+        if kind == "form":  # a random form that comes out zero is replaced
+            L = _random_homog(rng, ring, rng.randint(0, 2), lo=-3, hi=3, density=0.6)
+            L = L or Polynomial.var(ring, rng.choice(names))
+        elif kind == "relation":
+            L = rng.choice(P.relations)
+        elif kind == "variable":
+            L = Polynomial.var(ring, rng.choice(names))
+        else:
+            L = Polynomial.zero(ring)
+        if sum(M.weighted_degree() for M in factors + [L] if M.terms) <= 8:
+            factors.append(L)
+    f = _expanded(ring, factors)
+    if f and draw(st.booleans()):
+        # +-1 times the product as a relation, among copies of the others, so
+        # that contains answers the expanded product by that relation alone
+        gens = list(P.relations)
+        gens.insert(rng.randint(0, len(gens)), rng.choice((1, -1)) * f)
+        P = _with_duplicates(Presentation(ring, gens), rng)
+    return P, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_cases())
+def test_product_membership_matches_expanded_contains(case):
+    P, factors = case
+    cert = grideal.contains_product(P, factors)
+    f = _expanded(P.ring, factors)
+    expected = contains(Presentation(P.ring, P.relations), f)
+    assert (cert is None) == (expected is None)
+    if cert is not None:
+        assert cert.member == f
+        assert cert.cofactors == expected.cofactors
+        assert str(cert) == str(expected)
+        assert oracle_member(P, f)
+
+
+class TestContainsProduct:
+    def setup_method(self):
+        t, c1, c2 = V(RING, "t"), V(RING, "c1"), V(RING, "c2")
+        self.P = Presentation(RING, [t ** 2 - c1 * t - 3 * c2, 2 * t])
+        self.factors = [t - c1, t + 2 * c1, 2 * t, c2]
+
+    def test_chain_takes_no_expansion(self, monkeypatch):
+        # degree 5 is the degree of no relation, so the product goes down the
+        # chain; the member and the cofactors are expanded only when read
+        def refuse(ring, factors):
+            raise AssertionError("the product was multiplied out")
+
+        expand = grideal._expand
+        monkeypatch.setattr(grideal, "_expand", refuse)
+        cert = grideal.contains_product(self.P, self.factors)
+        assert cert is not None and cert.factors == tuple(self.factors)
+        monkeypatch.setattr(grideal, "_expand", expand)
+        f = _expanded(RING, self.factors)
+        assert cert.member == f
+        assert cert.cofactors == contains(self.P, f).cofactors
+        assert cert.cofactors is cert.cofactors
+
+    def test_trivial_bundle_is_contains_on_the_product(self):
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        P = Presentation(RING, [2 * t, 3 * c1])
+        factors = [t + c1, 3 * c1, 2 * t - c1]
+        cert = grideal.contains_product(P, factors)
+        assert cert.remainder.member == _expanded(RING, factors)
+        assert cert.cofactors == contains(P, _expanded(RING, factors)).cofactors
+
+    def test_refusal(self):
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        assert grideal.contains_product(self.P, [t - c1, c1, c1]) is None
+        assert contains(self.P, (t - c1) * c1 * c1) is None
+
+    def test_factor_from_another_ring(self):
+        other = ring_make([("t", 1), ("c1", 1)])
+        with pytest.raises(ValueError, match="ring mismatch"):
+            grideal.contains_product(self.P, [V(RING, "t"), V(other, "c1")])
+        with pytest.raises(ValueError, match="ring mismatch"):
+            contains(self.P, V(other, "c1"))
+
+    def test_inhomogeneous_factor(self):
+        t, c2 = V(RING, "t"), V(RING, "c2")
+        with pytest.raises(NotHomogeneousError):
+            grideal.contains_product(self.P, [t, t + c2])
+        with pytest.raises(NotHomogeneousError):
+            contains(self.P, t * (t + c2))
+
+    def test_cofactors_are_re_verified_when_read(self, monkeypatch):
+        # a wrong quotient of the member by g must not reach the cofactors
+        cert = grideal.contains_product(self.P, self.factors)
+        divide = grideal._divide
+
+        def off_by_one(terms, B):
+            q, r = divide(terms, B)
+            for e in q:  # the first term, when there is one, is off by one
+                return {**q, e: q[e] + 1}, r
+            return q, r
+
+        monkeypatch.setattr(grideal, "_divide", off_by_one)
+        with pytest.raises(AssertionError, match="re-verification"):
+            cert.cofactors
+        # and each step of the chain is checked as it is made
+        with pytest.raises(AssertionError, match="division step"):
+            grideal.contains_product(self.P, self.factors)
+
+    def test_zero_and_empty_products(self):
+        t = V(RING, "t")
+        for factors in ([t, Polynomial.zero(RING), t], [t, Polynomial.zero(RING), t, t]):
+            # degree 2 is multiplied out, degree 3 goes down the chain
+            zero = grideal.contains_product(self.P, factors)
+            assert zero.member.is_zero() and not any(zero.cofactors)
+        one = Polynomial.const(RING, 1)
+        assert grideal.contains_product(self.P, []) is None
+        unit = Presentation(RING, [one])
+        assert grideal.contains_product(unit, []).cofactors == (one,)
+
+
+# ----------------------------------------------------------------------------
 # graded invariants over the bundle against the Macaulay matrix
 # ----------------------------------------------------------------------------
 
