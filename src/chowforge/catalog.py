@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .chowops import adjoin_generator, root_gerbe_adjoin, torsor_quotient
-from .grideal import Certificate, Presentation, contains, contains_product
+from .grideal import Certificate, Presentation, contains
 from .intpoly import Polynomial, ring_make
 
 __all__ = [
@@ -323,10 +323,11 @@ def _monic_hyperplane_membership(j: int) -> Certificate | None:
     of the projectivized symmetric power in the ideal of the two torus
     pushforward classes, over Z[xi, t1, t2].
 
-    The classes xi - i*t1 - (2j-i)*t2, i = 0..2j, are passed as factors
-    to `contains_product`, which reduces their product modulo the monic
-    class gen2 one factor at a time and never multiplies it out; the
-    certificate expands the member and its cofactors only when read."""
+    The classes xi - i*t1 - (2j-i)*t2, i = 0..2j, are passed to
+    `contains` as the factors of the member, so their product is reduced
+    modulo the monic class gen2 one factor at a time and never multiplied
+    out; the certificate expands the member and its cofactors only when
+    read."""
     R = ring_make([("xi%d" % (2 * j), 1), ("t1", 1), ("t2", 1)])
     xi = Polynomial.var(R, "xi%d" % (2 * j))
     t1 = Polynomial.var(R, "t1")
@@ -335,7 +336,7 @@ def _monic_hyperplane_membership(j: int) -> Certificate | None:
     gen1 = 2 * (2 * j - 1) * xi - 2 * j * (2 * j - 1) * s
     gen2 = xi ** 2 - s * xi - 2 * j * (2 * j - 2) * (t1 * t2)
     ideal = Presentation(R, [gen1, gen2])
-    return contains_product(ideal, [xi - i * t1 - (2 * j - i) * t2 for i in range(2 * j + 1)])
+    return contains(ideal, *(xi - i * t1 - (2 * j - i) * t2 for i in range(2 * j + 1)))
 
 
 def lemma_3_4_check(a: int, b: int) -> Lemma34Result:

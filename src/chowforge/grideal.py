@@ -22,36 +22,34 @@ Smith form gives the invariants.  `ideal_degree_matrix` returns the
 piece that membership built and kept, on which `snf` starts from the
 kept Hermite form; any other piece it builds for the call and lets go.
 
-A member that is +1 or -1 times a relation g_i (as most generators are
-that `ideal_equal` asks about) is answered by that relation alone: the
-certificate has cofactor +-1 at the first such i and 0 elsewhere, and no
-bundle, piece, Hermite form or solve is needed.  The bundle of a
-presentation, one `_Bundle`, is the one object that holds its state:
-the monic relation, the spans and each degree piece that membership
-asks about, built once, with its Hermite form kept on its matrix.  It is
-kept on the presentation, and every answer is still solved and
-re-verified on its own.
-Membership certificates are reassembled into explicit polynomial
-cofactors and re-verified by exact arithmetic before being returned;
-those of a product member (below) are reassembled and re-verified when
-first read.
+The bundle of a presentation, one `_Bundle`, is the one object that
+holds its state: the monic relation, the spans and each degree piece
+that membership asks about, built once, with its Hermite form kept on
+its matrix.  It is kept on the presentation, and every answer is still
+solved and re-verified on its own.
 
-A member given as a product of homogeneous factors L_1*...*L_n
-(`contains_product`) is not multiplied out.  Starting from r_0 = 1,
-each step divides r_(i-1)*L_i by g into q_i*g + r_i, with r_i of
-x-degree below k; on the trivial bundle q_i = 0 and r_i is the running
-product.  Division by a monic relation leaves a unique remainder, so
-r_n is the r_f that `contains` takes from the expanded product, and
-`contains(P, r_n)` solves it on the same piece.  The certificate is a
-straight-line program (Kaltofen, J. ACM 35(1), 1988): the factors, each
-step re-verified as it is made and then let go, and the certificate of
-r_n.  Its member and cofactors are expanded only when read: the product
-is C_n*g + r_n, and C_n, unique by the division, is the quotient of the
-expanded member by g, so g's cofactor is C_n plus that of r_n.  They
-equal those that `contains` gives for the expanded product, and are
-re-verified before they are kept.  A product that has the degree of a
-relation, and so may be +-1 times one, is multiplied out and passed to
-`contains`.
+Membership (`contains(P, *factors)`) takes a member given as one
+polynomial or as a product of homogeneous factors L_1*...*L_n, and has
+one route.  A member that is +1 or -1 times a relation g_i (as most
+generators are that `ideal_equal` asks about) is answered by that
+relation alone: the certificate has cofactor +-1 at the first such i and
+0 elsewhere, and no bundle, piece, Hermite form or solve is needed.  A
+product is multiplied out for that test only when it has the degree of
+a relation.  Any other member is divided by g and its remainder solved
+on its degree piece.  A product is divided without being multiplied
+out: starting from r_0 = 1, each step divides r_(i-1)*L_i by g into
+q_i*g + r_i, with r_i of x-degree below k, and is re-verified as it is
+made; on the trivial bundle q_i = 0 and r_i is the running product.
+Division by a monic relation leaves a unique remainder, so r_n is the
+remainder of the expanded product, solved on the same piece.  The
+cofactors are reassembled into explicit polynomials and re-verified by
+exact arithmetic.  The certificate of a product is a straight-line
+program (Kaltofen, J. ACM 35(1), 1988): the factors, the division data
+of g and the certificate of r_n.  Its member and cofactors are expanded
+only when read: the product is C_n*g + r_n, and C_n, unique by the
+division, is the quotient of the expanded member by g, so g's cofactor
+is C_n plus that of r_n.  They equal those of the expanded product, and
+are re-verified before they are kept.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ __all__ = [
     "monomial_basis",
     "ideal_degree_matrix",
     "contains",
-    "contains_product",
     "ideal_equal",
     "eliminate_linear",
     "quotient_graded_invariants",
@@ -210,9 +207,10 @@ class Certificate:
 
 
 def _divide(terms, B: _Bundle) -> tuple[dict, dict]:
-    """Division by the relation g of B: the terms of q and r with
-    p = q*g + r and r of x-degree < k.  On the trivial bundle q = 0 and
-    r is p itself."""
+    """Division by the relation g of B, a bundle or a product certificate
+    that holds its division data: the terms of q and r with p = q*g + r
+    and r of x-degree < k.  On the trivial bundle q = 0 and r is p
+    itself."""
     x, k, sign = B.x, B.k, B.sign
     if x is None:
         return {}, terms
@@ -392,44 +390,69 @@ def _unit_multiple(f, g) -> int:
     return -1 if all(g.get(e) == -c for e, c in f.items()) else 0
 
 
-def contains(P: Presentation, f: Polynomial) -> Certificate | None:
-    """Membership of a homogeneous polynomial, with an explicit certificate
+def contains(P: Presentation, *factors: Polynomial) -> Certificate | None:
+    """Membership of the product of the homogeneous `factors` (one
+    polynomial f, or 1 when none is given), with an explicit certificate
     on success and None on refusal.
 
-    When f is +1 or -1 times a relation g_i, the certificate is that
-    unit at the first such i and 0 at every other relation; no bundle or
-    piece is built.  Otherwise membership is decided in R/(g) over the
-    base ring of `_bundle(P)`.
-    When a relation g is monic of degree k in a variable x, that quotient
-    is free over the ring of the other variables with basis
-    1, x, ..., x^(k-1) (the projective bundle formula: Fulton,
-    Intersection Theory, Thm 3.3(b)).  f = q_f*g + r_f, and f lies in the
-    ideal exactly when r_f lies in the span of the remainders r of x^i*h.
-    With no monic relation the bundle is trivial, q_f = 0 and r_f = f,
-    and the piece is the Macaulay matrix of all degree-d multiples of the
-    relations.
+    A zero member gets zero cofactors.  A member that is +-1 times a
+    relation g_i gets that unit at the first such i and 0 elsewhere, with
+    no bundle or piece built; a product is multiplied out for this test
+    only when it has the degree of a relation.  Any other member is
+    decided in R/(g) over the base ring of `_bundle(P)`: f = q_f*g + r_f,
+    and f lies in the ideal exactly when r_f lies in the span of the
+    remainders r of the shifts x^i*h (the projective bundle formula:
+    Fulton, Intersection Theory, Thm 3.3(b)).  With no monic relation the
+    bundle is trivial, q_f = 0, r_f = f and the piece is the Macaulay
+    matrix of all degree-d multiples of the relations.  A product reaches
+    its r_f one factor at a time, each step re-verified, and its
+    certificate, a `_ProductCertificate`, expands its member and cofactors
+    only when read; they equal those of the expanded product.
     """
-    if f.ring != P.ring:
+    ring, relations = P.ring, P.relations
+    if any(L.ring != ring for L in factors):
         raise ValueError("ring mismatch")
-    zero = Polynomial.zero(P.ring)
-    if f.is_zero():
-        return Certificate(P, f, [zero] * len(P.relations))
-    for i, g in enumerate(P.relations):
-        sign = _unit_multiple(f.terms, g.terms)
-        if sign:
-            cofactors = [zero] * len(P.relations)
-            cofactors[i] = Polynomial.const(P.ring, sign)
-            return Certificate(P, f, cofactors)
-    d = f.weighted_degree()
-    B = _bundle(P)
-    q_f, r_f = _divide(f.terms, B)
+    zero = Polynomial.zero(ring)
+    if len(factors) != 1:
+        # the degree of the product; weighted_degree raises NotHomogeneousError
+        # on mixed degrees, and a zero factor, of every degree, adds nothing
+        d = sum(L.weighted_degree() for L in factors if L.terms)
+        if not all(L.terms for L in factors):
+            factors = (zero,)
+        elif any(ring.exponent_degree(next(iter(g.terms))) == d for g in relations):
+            factors = (Polynomial._trusted(ring, _expand(ring, factors)),)
+    if len(factors) == 1:
+        f = factors[0]
+        if f.is_zero():
+            return Certificate(P, f, [zero] * len(relations))
+        for i, g in enumerate(relations):
+            sign = _unit_multiple(f.terms, g.terms)
+            if sign:
+                cofactors = [zero] * len(relations)
+                cofactors[i] = Polynomial.const(ring, sign)
+                return Certificate(P, f, cofactors)
+        d = f.weighted_degree()
+        B = _bundle(P)
+        q_g, r = _divide(f.terms, B)  # checked by the certificate
+    else:
+        B = _bundle(P)
+        g = {} if B.gi is None else relations[B.gi].terms
+        r = {(0,) * len(ring): 1}
+        for L in factors:
+            p = _product(r, L.terms)
+            q, r = _divide(p, B)
+            check = dict(r)
+            _add_product(check, q, g)
+            if _nonzero(check) != p:
+                raise AssertionError("division step failed re-verification")
+        q_g = {}  # the product's quotient by g joins g's cofactor when read
     A, index, labels = B.piece(d)
-    y = solve_in_row_lattice(A, _vector_of(r_f, index))
+    y = solve_in_row_lattice(A, _vector_of(r, index))
     if y is None:
         return None
-    # q_f is the cofactor of g, which the trivial bundle does not have
+    # q_g starts the cofactor of g, which the trivial bundle does not have
     cof_terms: list[dict[tuple[int, ...], int]] = [
-        q_f if i == B.gi else {} for i in range(len(P.relations))
+        q_g if i == B.gi else {} for i in range(len(relations))
     ]
     for a, ((hi, shift, _, _, q), m) in zip(y, labels):
         if not a:
@@ -438,10 +461,13 @@ def contains(P: Presentation, f: Polynomial) -> Certificate | None:
         cof_terms[hi][mono] = cof_terms[hi].get(mono, 0) + a
         for qe, qc in q.items():
             t = tuple(map(add, m, qe))
-            q_f[t] = q_f.get(t, 0) - a * qc
-    # fresh term maps over P.ring; Certificate re-verifies sum(h_i*g_i) = f
-    cofactors = [{e: c for e, c in t.items() if c} for t in cof_terms]
-    return Certificate(P, f, [Polynomial._trusted(P.ring, t) for t in cofactors])
+            q_g[t] = q_g.get(t, 0) - a * qc
+    # fresh term maps over the ring; Certificate re-verifies sum(h_i*g_i)
+    cofactors = [Polynomial._trusted(ring, {e: c for e, c in t.items() if c}) for t in cof_terms]
+    if len(factors) == 1:
+        return Certificate(P, f, cofactors)
+    # r is fresh: on the trivial bundle it is the last step's product
+    return _ProductCertificate(Certificate(P, Polynomial._trusted(ring, r), cofactors), factors, B)
 
 
 def _expand(ring: RingSpec, factors: Sequence[Polynomial]) -> dict:
@@ -453,24 +479,25 @@ def _expand(ring: RingSpec, factors: Sequence[Polynomial]) -> dict:
 
 
 class _ProductCertificate(Certificate):
-    """A certificate for a product member L_1*...*L_n as a straight-line
-    program: the factors and `remainder`, a certificate of the last
-    remainder r_n of the chain in `contains_product`, whose steps were
-    re-verified as they were made.  No quotient is kept.
+    """The certificate of a product member L_1*...*L_n: the factors, the
+    division data of the bundle's g (gi, x, k, sign and tail, so that
+    `_divide` takes the certificate for the bundle) and `remainder`, the
+    certificate of the last remainder r_n of the chain in `contains`.  No
+    quotient, bundle or piece is kept.
 
     `member` and `cofactors` fill the slots of `Certificate` on first
-    read.  The member is the product multiplied out.  Division by the
-    monic g leaves a unique quotient, so g's cofactor is the quotient of
-    the member by g plus the cofactor of g in `remainder`; the others are
-    those of `remainder`.  The cofactors are then re-verified against the
-    member, as `Certificate` does, before they are kept."""
+    read: the member multiplied out, and the cofactors of `remainder`
+    with the quotient of the member by g added to g's.  They are
+    re-verified against the member, as `Certificate` does, before they
+    are kept."""
 
-    __slots__ = ("remainder", "factors")
+    __slots__ = ("remainder", "factors", "gi", "x", "k", "sign", "tail")
 
-    def __init__(self, remainder: Certificate, factors: tuple[Polynomial, ...]):
+    def __init__(self, remainder: Certificate, factors: tuple[Polynomial, ...], B: _Bundle):
         self.relations = remainder.relations
         self.remainder = remainder
         self.factors = factors
+        self.gi, self.x, self.k, self.sign, self.tail = B.gi, B.x, B.k, B.sign, B.tail
 
     def __getattr__(self, name: str):
         # reached only while the slot `member` or `cofactors` is unset
@@ -481,55 +508,15 @@ class _ProductCertificate(Certificate):
         if name == "cofactors":
             ring = self.remainder.member.ring
             member = self.member
-            B = _Bundle(Presentation(ring, self.relations))
             cofactors = list(self.remainder.cofactors)
-            if B.gi is not None:
-                q, _ = _divide(member.terms, B)
-                cofactors[B.gi] = cofactors[B.gi] + Polynomial._trusted(ring, q)
+            if self.gi is not None:
+                q, _ = _divide(member.terms, self)
+                cofactors[self.gi] = cofactors[self.gi] + Polynomial._trusted(ring, q)
             if Polynomial.sum_of_products(ring, zip(cofactors, self.relations)) != member:
                 raise AssertionError("certificate failed polynomial re-verification")
             self.cofactors = tuple(cofactors)
             return self.cofactors
         raise AttributeError(name)
-
-
-def contains_product(P: Presentation, factors: Iterable[Polynomial]) -> Certificate | None:
-    """Membership of the product of homogeneous `factors` (1 for none),
-    decided without multiplying it out, with the certificate and the
-    verdict that `contains` gives for the expanded product.
-
-    Each step splits r*L, for the running remainder r (at first 1) and
-    the next factor L, into q*g + r' by `_divide`, re-verifies that
-    identity and goes on with r'; a zero factor leaves r = 0 from there
-    on.  The last remainder is the r_f that `contains` takes from the
-    expanded member, and `contains(P, r)` solves it on the same piece.  A
-    product of the degree of a relation (it may then be +-1 times a
-    relation, which `contains` answers by that relation alone) is
-    multiplied out and passed to `contains` as it is.
-    """
-    factors = tuple(factors)
-    ring = P.ring
-    if any(L.ring != ring for L in factors):
-        raise ValueError("ring mismatch")
-    # the degree of the product; weighted_degree raises NotHomogeneousError
-    # on mixed degrees, and a zero factor, of every degree, adds nothing
-    d = sum(L.weighted_degree() for L in factors if L.terms)
-    if any(ring.exponent_degree(next(iter(g.terms))) == d for g in P.relations):
-        return contains(P, Polynomial._trusted(ring, _expand(ring, factors)))
-    B = _bundle(P)
-    g = {} if B.gi is None else P.relations[B.gi].terms
-    r = {(0,) * len(ring): 1}
-    for L in factors:
-        p = _product(r, L.terms)
-        q, r = _divide(p, B)
-        check = dict(r)
-        _add_product(check, q, g)
-        if _nonzero(check) != p:
-            raise AssertionError("division step failed re-verification")
-    remainder = contains(P, Polynomial._trusted(ring, r))
-    if remainder is None:
-        return None
-    return _ProductCertificate(remainder, factors)
 
 
 class EqualityResult(NamedTuple):

@@ -816,7 +816,7 @@ def _product_cases(draw):
 @given(_product_cases())
 def test_product_membership_matches_expanded_contains(case):
     P, factors = case
-    cert = grideal.contains_product(P, factors)
+    cert = grideal.contains(P, *factors)
     f = _expanded(P.ring, factors)
     expected = contains(Presentation(P.ring, P.relations), f)
     assert (cert is None) == (expected is None)
@@ -841,7 +841,7 @@ class TestContainsProduct:
 
         expand = grideal._expand
         monkeypatch.setattr(grideal, "_expand", refuse)
-        cert = grideal.contains_product(self.P, self.factors)
+        cert = grideal.contains(self.P, *self.factors)
         assert cert is not None and cert.factors == tuple(self.factors)
         monkeypatch.setattr(grideal, "_expand", expand)
         f = _expanded(RING, self.factors)
@@ -853,32 +853,32 @@ class TestContainsProduct:
         t, c1 = V(RING, "t"), V(RING, "c1")
         P = Presentation(RING, [2 * t, 3 * c1])
         factors = [t + c1, 3 * c1, 2 * t - c1]
-        cert = grideal.contains_product(P, factors)
+        cert = grideal.contains(P, *factors)
         assert cert.remainder.member == _expanded(RING, factors)
         assert cert.cofactors == contains(P, _expanded(RING, factors)).cofactors
 
     def test_refusal(self):
         t, c1 = V(RING, "t"), V(RING, "c1")
-        assert grideal.contains_product(self.P, [t - c1, c1, c1]) is None
+        assert grideal.contains(self.P, t - c1, c1, c1) is None
         assert contains(self.P, (t - c1) * c1 * c1) is None
 
     def test_factor_from_another_ring(self):
         other = ring_make([("t", 1), ("c1", 1)])
         with pytest.raises(ValueError, match="ring mismatch"):
-            grideal.contains_product(self.P, [V(RING, "t"), V(other, "c1")])
+            grideal.contains(self.P, V(RING, "t"), V(other, "c1"))
         with pytest.raises(ValueError, match="ring mismatch"):
             contains(self.P, V(other, "c1"))
 
     def test_inhomogeneous_factor(self):
         t, c2 = V(RING, "t"), V(RING, "c2")
         with pytest.raises(NotHomogeneousError):
-            grideal.contains_product(self.P, [t, t + c2])
+            grideal.contains(self.P, t, t + c2)
         with pytest.raises(NotHomogeneousError):
             contains(self.P, t * (t + c2))
 
     def test_cofactors_are_re_verified_when_read(self, monkeypatch):
         # a wrong quotient of the member by g must not reach the cofactors
-        cert = grideal.contains_product(self.P, self.factors)
+        cert = grideal.contains(self.P, *self.factors)
         divide = grideal._divide
 
         def off_by_one(terms, B):
@@ -892,18 +892,76 @@ class TestContainsProduct:
             cert.cofactors
         # and each step of the chain is checked as it is made
         with pytest.raises(AssertionError, match="division step"):
-            grideal.contains_product(self.P, self.factors)
+            grideal.contains(self.P, *self.factors)
 
     def test_zero_and_empty_products(self):
         t = V(RING, "t")
         for factors in ([t, Polynomial.zero(RING), t], [t, Polynomial.zero(RING), t, t]):
-            # degree 2 is multiplied out, degree 3 goes down the chain
-            zero = grideal.contains_product(self.P, factors)
+            # a zero factor makes a zero member, in any degree
+            zero = grideal.contains(self.P, *factors)
             assert zero.member.is_zero() and not any(zero.cofactors)
         one = Polynomial.const(RING, 1)
-        assert grideal.contains_product(self.P, []) is None
+        assert grideal.contains(self.P) is None
         unit = Presentation(RING, [one])
-        assert grideal.contains_product(unit, []).cofactors == (one,)
+        assert grideal.contains(unit).cofactors == (one,)
+
+    def test_one_certificate_per_membership(self, monkeypatch):
+        # every route builds one re-verified Certificate for a member, read
+        # or not, and none for a refusal
+        built = []
+        init = Certificate.__init__
+
+        def counting(cert, *args):
+            built.append(cert)
+            init(cert, *args)
+
+        monkeypatch.setattr(Certificate, "__init__", counting)
+        t, c1, c2 = V(RING, "t"), V(RING, "c1"), V(RING, "c2")
+        g = self.P.relations[0]
+        trivial = Presentation(RING, [2 * t, 3 * c1])
+        members = [
+            (self.P, [-g]),  # unit
+            (self.P, [Polynomial.zero(RING)]),  # zero
+            (self.P, [t, Polynomial.zero(RING), c1, c1]),  # zero factor
+            (self.P, [(t + c1) * g + 2 * t * c2]),  # one factor, solved on its piece
+            (self.P, self.factors),  # product chain
+            (Presentation(RING, [Polynomial.const(RING, 1)]), []),  # empty product, unit
+            (Presentation(RING, [Polynomial.const(RING, 2), Polynomial.const(RING, 3)]), []),
+            (trivial, [2 * t * c2 + 3 * c1 ** 3]),  # trivial bundle, one factor
+            (trivial, [t + c1, 3 * c1, 2 * t - c1]),  # trivial bundle, product
+        ]
+        for P, factors in members:
+            before = len(built)
+            cert = grideal.contains(P, *factors)
+            assert cert is not None and len(built) == before + 1
+            assert cert.member == _expanded(RING, factors) and len(cert.cofactors) == len(P.relations)
+            assert len(built) == before + 1
+        refusals = [
+            (self.P, [t - c1, c1, c1]),
+            (self.P, [c1 ** 3]),
+            (self.P, []),
+            (trivial, [c2]),
+            (trivial, [c1, c2]),
+        ]
+        for P, factors in refusals:
+            assert grideal.contains(P, *factors) is None
+        assert len(built) == len(members)
+
+    def test_reading_a_product_certificate_builds_no_bundle(self, monkeypatch):
+        t, c1 = V(RING, "t"), V(RING, "c1")
+        trivial = Presentation(RING, [2 * t, 3 * c1])
+        cases = [(self.P, self.factors), (trivial, [t + c1, 3 * c1, 2 * t - c1])]
+        certs = [grideal.contains(P, *factors) for P, factors in cases]
+        expected = [contains(P, _expanded(RING, factors)) for P, factors in cases]
+        built = []
+        for cls in (Presentation, grideal._Bundle):
+            monkeypatch.setattr(
+                cls, "__init__", lambda obj, *args, init=cls.__init__: built.append(obj) or init(obj, *args)
+            )
+        for cert, want in zip(certs, expected):
+            assert isinstance(cert, grideal._ProductCertificate)
+            assert cert.member == want.member and cert.cofactors == want.cofactors
+        assert built == []
 
 
 # ----------------------------------------------------------------------------
