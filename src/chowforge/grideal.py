@@ -15,18 +15,23 @@ the bundle is trivial, the case k = 1 with no g: the ring is free over
 itself with basis {1}, and the same lattice builder gives the Macaulay
 matrix.
 
-The graded invariants of the quotient are read from the same piece:
-R/I is the quotient of R/(g) by the image of I, so the degree-d piece
-over the bundle has the degree-d piece of R/I as its cokernel, and its
-Smith form gives the invariants.  `ideal_degree_matrix` returns the
-piece that membership built and kept, on which `snf` starts from the
-kept Hermite form; any other piece it builds for the call and lets go.
+The graded invariants of the quotient are read over the same bundle:
+R/I is the quotient of R/(g) by the image of I, so a basis of that image
+in degree d has the degree-d piece of R/I as its cokernel, and its Smith
+form gives the invariants.  That basis comes from an echelon series (the
+linear-algebra view of Groebner bases: Lazard, EUROCAL 1983; Faugere's
+F4, J. Pure Appl. Algebra 139, 1999).  The image in degree d is spanned
+by the spans of degree exactly d and by y times the image in degree
+d - w(y), for each variable y other than x, so `ideal_degree_matrix`
+returns E_d, the echelon form of those rows, built from the E of the
+degrees below it rather than from every multiple of every span.
 
 The bundle of a presentation, one `_Bundle`, is the one object that
-holds its state: the monic relation, the spans and each degree piece
-that membership asks about, built once, with its Hermite form kept on
-its matrix.  It is kept on the presentation, and every answer is still
-solved and re-verified on its own.
+holds its state: the monic relation, the spans, each degree piece that
+membership asks about, built once, with its Hermite form kept on its
+matrix, and the last degrees of the series.  It is kept on the
+presentation, and every answer is still solved and re-verified on its
+own.
 
 Membership (`contains(P, *factors)`) takes a member given as one
 polynomial or as a product of homogeneous factors L_1*...*L_n, and has
@@ -59,7 +64,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .intpoly import Polynomial, RingSpec, _add_product, _nonzero, _product, _substitute_all
-from .zlinalg import AbelianInvariants, IntMatrix, snf, solve_in_row_lattice
+from .zlinalg import AbelianInvariants, IntMatrix, _echelon, snf, solve_in_row_lattice
 
 __all__ = [
     "Presentation",
@@ -257,10 +262,10 @@ class _Bundle:
     nonzero; the spans of the trivial bundle are the relations
     themselves, with shift 1 and q = 0.  The image of the ideal in R/(g)
     is the span of the m*r over the multipliers m.  `piece(d)` is built
-    once per degree and kept while the bundle is, and `_bundle(P)` keeps
-    the bundle on P."""
+    once per degree and kept while the bundle is, `image(d)` reads the
+    echelon series of that span, and `_bundle(P)` keeps the bundle on P."""
 
-    __slots__ = ("ring", "gi", "x", "k", "sign", "tail", "parts", "pieces")
+    __slots__ = ("ring", "gi", "x", "k", "sign", "tail", "parts", "pieces", "base", "window", "series")
 
     def __init__(self, P: Presentation):
         ring = self.ring = P.ring
@@ -285,6 +290,12 @@ class _Bundle:
             if hi != self.gi
         ]
         self.pieces: dict[int, _Piece] = {}
+        # (variable, weight) of every variable but x, the number of degrees
+        # of the echelon series kept, and those degrees: d -> (E_d, its rows
+        # as nonzero (column, value))
+        self.base = [(v, w) for v, w in enumerate(ring.weights) if v != self.x]
+        self.window = max((w for _, w in self.base), default=1)
+        self.series: dict[int, tuple[IntMatrix, list]] = {}
 
     def columns(self, d: int) -> tuple[tuple[int, ...], ...]:
         return _basis(self.ring, self.x, self.k, d)
@@ -320,6 +331,62 @@ class _Bundle:
         if p is None:
             p = self.pieces[d] = _lattice(self, d)
         return p
+
+    def image(self, d: int) -> IntMatrix:
+        """E_d, an echelon basis of the image of the ideal in degree d over
+        `columns(d)`: the rows of the spans of degree exactly d and of
+        y*E_(d - w) for each base variable y of weight w, brought to echelon
+        form with the zero rows dropped.  It spans the rows of `piece(d)`,
+        since each multiplier of positive degree is y*m' for a base variable
+        y, and y keeps the x-degree below k, so no shifted row needs dividing
+        by g.  The series is built upward from the lowest degree not kept,
+        one degree at a time, and only the last w degrees are kept, w the
+        largest weight of a base variable; a degree below them starts the
+        series again from 0."""
+        series = self.series
+        if d in series:
+            return series[d][0]
+        if not series or d < min(series):
+            series.clear()
+            start = 0
+        else:
+            start = max(series) + 1
+        for e in range(start, d + 1):
+            series[e] = self._image_step(e)
+            series.pop(e - self.window, None)
+        return series[d][0]
+
+    def _image_step(self, d: int) -> tuple[IntMatrix, list]:
+        cols = self.columns(d)
+        n = len(cols)
+        index = {e: j for j, e in enumerate(cols)}
+        rows = []
+        for _, _, e, r, _ in self.spans(d):
+            if e == d:
+                row = [0] * n
+                for re_, rc in r.items():
+                    row[index[re_]] = rc
+                rows.append(row)
+        # each shifted row once, as its nonzero (column, value): a row y*z*s
+        # can come both from y*E_(d - w(y)) and from z*E_(d - w(z))
+        shifted = {}
+        for v, w in self.base:
+            below = self.series.get(d - w)
+            if below is None or not below[1]:
+                continue
+            # column j of degree d - w goes to the column of its monomial times y
+            to = [index[m[:v] + (m[v] + 1,) + m[v + 1 :]] for m in self.columns(d - w)]
+            for nonzero in below[1]:
+                shifted[tuple([(to[j], a) for j, a in nonzero])] = None
+        for key in shifted:
+            row = [0] * n
+            for j, a in key:
+                row[j] = a
+            rows.append(row)
+        pivots = _echelon(rows, n, None)
+        del rows[len(pivots) :]
+        nonzeros = [[(j, a) for j, a in enumerate(row[c:], c) if a] for row, c in zip(rows, pivots)]
+        return IntMatrix._trusted(n, rows), nonzeros
 
 
 def _bundle(P: Presentation) -> _Bundle:
@@ -368,16 +435,16 @@ def ideal_degree_matrix(P: Presentation, d: int) -> IntMatrix:
     Its rows span the image of the ideal in R/(g) over the columns of
     `_bundle(P)` in degree d, the monomials of x-degree below k when a
     relation g is monic of degree k in x.  R/I = (R/(g))/(image of I),
-    so both have the same cokernel.  With no monic relation this is the
-    Macaulay matrix of all degree-d multiples m*g_i of the generators,
-    over monomial_basis(d).  The matrix of a piece that membership has
-    built and kept is returned as it is, with its Hermite form; any
-    other piece is built afresh and not kept.
+    so both have the same cokernel.  With no monic relation they span
+    the rows of the Macaulay matrix of all degree-d multiples m*g_i of
+    the generators, over monomial_basis(d).  The matrix is E_d of the
+    bundle's echelon series, in echelon form with no zero row, built
+    from the degrees below it (`_Bundle.image`); it is the same whether
+    or not membership has built a piece of that degree.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    B = _bundle(P)
-    return (B.pieces.get(d) or _lattice(B, d)).A
+    return _bundle(P).image(d)
 
 
 def _unit_multiple(f, g) -> int:
@@ -576,9 +643,9 @@ def eliminate_linear(P: Presentation, v: str, h: Polynomial) -> Presentation:
 
 def quotient_graded_invariants(P: Presentation, d: int) -> AbelianInvariants:
     """Abelian invariants of the degree-d piece of the quotient ring: the
-    Smith form of `ideal_degree_matrix(P, d)`, the small piece over the
-    bundle whenever a relation is monic.  When membership has already
-    built that piece, `snf` starts from the Hermite form kept on its
-    matrix.  Nothing new is kept: a `graded --deg-max D` run builds each
-    of its pieces afresh and lets it go."""
+    Smith form of `ideal_degree_matrix(P, d)`, the echelon basis of the
+    series over the bundle, small whenever a relation is monic.  The
+    series keeps only its last degrees, so a `graded --deg-max D` run,
+    which asks in increasing order, builds each degree once from the one
+    below it."""
     return snf(ideal_degree_matrix(P, d))

@@ -3,9 +3,9 @@
 Row m*g for each relation g, in relation order, and each monomial m of
 degree d - deg g, in canonical order, over the columns
 monomial_basis(d).  It is built from `Polynomial` products, so it shares
-no code with the lattice builder of `chowforge.grideal`, whose
-`ideal_degree_matrix` is the far smaller piece over a bundle whenever a
-relation is monic.
+no code with `chowforge.grideal`, whose `ideal_degree_matrix` is an
+echelon basis of the same lattice, built from the degrees below it and
+over the far smaller bundle whenever a relation is monic.
 """
 
 from chowforge.grideal import Presentation, monomial_basis

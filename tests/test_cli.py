@@ -625,8 +625,7 @@ class TestVerify:
                 inside.pop()
 
         def counting(B, d):
-            if inside:  # ideal_degree_matrix builds its pieces outside `piece`
-                built.append(inside[-1])
+            built.append(inside[-1] if inside else None)  # None: built outside `piece`
             return lattice(B, d)
 
         clear_caches()  # the catalog's kept presentations, with their bundles

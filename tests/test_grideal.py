@@ -16,7 +16,7 @@ from chowforge.grideal import (
     quotient_graded_invariants,
 )
 from chowforge.intpoly import NotHomogeneousError, Polynomial, ring_make
-from chowforge.zlinalg import AbelianInvariants, snf, solve_in_row_lattice
+from chowforge.zlinalg import AbelianInvariants, IntMatrix, hnf, snf, solve_in_row_lattice
 from dense_snf import dense_snf
 from macaulay import macaulay
 
@@ -33,6 +33,12 @@ def clear_caches():
     for obj in vars(catalog).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
+
+
+def hermite_rows(A):
+    """The nonzero rows of the Hermite form of A: equal exactly when the
+    row lattices are."""
+    return [list(r) for r in hnf(A)[0].entries if any(r)]
 
 
 @pytest.fixture(autouse=True)
@@ -128,9 +134,10 @@ class TestDegreeMatrix:
     def test_even_genus_degree_one_rows(self):
         from chowforge.catalog import thm_1_3_presentation
 
+        # the matrix spans the lattice of the rows 2t, 8t - 6c1 and 4t + 2c1
         P = thm_1_3_presentation(2, 1)
-        A = ideal_degree_matrix(P, 1)
-        assert [list(r) for r in A.entries] == [[2, 0], [8, -6], [4, 2]]
+        rows = IntMatrix.from_rows([[2, 0], [8, -6], [4, 2]])
+        assert hermite_rows(ideal_degree_matrix(P, 1)) == hermite_rows(rows) == [[2, 0], [0, 2]]
 
     def test_empty_ideal(self):
         P = Presentation(RING, [])
@@ -1064,11 +1071,12 @@ def test_graded_invariants_reach_the_traced_names(monkeypatch):
     ids=["thm1.3", "thm1.9", "cor1.10", "lemma34"],
 )
 def test_graded_invariants_read_the_kept_hermite_form(make, monkeypatch):
-    """Once membership has built a degree piece, its graded invariants are
-    the Smith form of the Hermite form kept on it: no piece is built and
-    no Hermite form computed again, yet `snf` is still reached through
-    `grideal`.  The answer is that of a fresh copy and of the dense
-    oracle on the Macaulay matrix, and a fresh copy keeps no piece."""
+    """Graded invariants are read from the echelon series, not from the
+    pieces that membership keeps: once membership has built a piece of
+    each degree, no piece is built and no Hermite form computed for them,
+    yet `snf` is still reached through `grideal`.  The answer is that of
+    a fresh copy and of the dense oracle on the Macaulay matrix, and a
+    fresh copy keeps no piece."""
     P = make()
     degrees = range(7)
     fresh = Presentation(P.ring, P.relations)
@@ -1103,15 +1111,98 @@ def test_graded_invariants_read_the_kept_hermite_form(make, monkeypatch):
     ],
     ids=["thm1.3", "thm1.9", "lemma34"],
 )
-def test_degree_matrix_is_the_kept_piece(make):
-    """`ideal_degree_matrix` returns the matrix of the piece that
-    membership built and kept, equal to the matrix a fresh copy builds;
-    on a presentation with no kept piece it builds one and keeps none."""
+def test_degree_matrix_spans_the_kept_piece(make):
+    """`ideal_degree_matrix` returns the same matrix whether or not
+    membership has built and kept the piece of that degree, and the two
+    span one lattice; a fresh copy asked for it keeps no piece."""
     P = make()
     fresh = Presentation(P.ring, P.relations)
     for d in range(6):
         contains(P, Polynomial(P.ring, {monomial_basis(P.ring, d)[0]: 1}))
-        assert ideal_degree_matrix(P, d) is P._bundle.pieces[d].A
-        assert ideal_degree_matrix(P, d) == ideal_degree_matrix(fresh, d)
-        quotient_graded_invariants(fresh, d)
+        A = ideal_degree_matrix(P, d)
+        assert A == ideal_degree_matrix(fresh, d)
+        assert hermite_rows(A) == hermite_rows(P._bundle.pieces[d].A)
     assert fresh._bundle.pieces == {}
+
+
+@st.composite
+def _graded_trivial_ideals(draw):
+    """Presentations over GRADED with no monic relation, so that the bundle
+    is trivial and the series shifts by every variable: up to three random
+    relations of degree 0 to 3 whose pure powers have coefficients other
+    than +-1, sometimes the unit relation 1, sometimes a relation twice."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        h = _random_homog(rng, GRADED, rng.randint(0, 3), lo=-4, hi=4, density=0.5)
+        pure = len(GRADED) - 1  # zeros in the exponents of a pure power
+        terms = {e: 2 * c if c in (1, -1) and e.count(0) == pure else c for e, c in h.terms.items()}
+        if terms:
+            rels.append(Polynomial(GRADED, terms))
+    if draw(st.integers(0, 3)) == 0:
+        rels.insert(draw(st.integers(0, len(rels))), Polynomial.const(GRADED, 1))
+    if rels and draw(st.booleans()):
+        rels.append(rels[draw(st.integers(0, len(rels) - 1))])
+    return Presentation(GRADED, rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_trivial_ideals())
+def test_graded_invariants_without_a_monic_relation_match_macaulay_oracle(P):
+    assert grideal._bundle(P).gi is None
+    for d in range(7):
+        assert quotient_graded_invariants(P, d) == dense_snf(macaulay(P, d)).invariants
+
+
+@pytest.mark.parametrize("degrees", [(6, 2, 9, 3, 0, 7), (4, 4, 1, 1, 5, 0, 0, 8)])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: catalog.thm_1_9_presentation(9, 3), lambda: catalog.thm_1_3_presentation(8, 3)],
+    ids=["thm1.9", "thm1.3"],
+)
+def test_graded_invariants_in_any_order(make, degrees):
+    """Asked below the degrees it keeps, the series starts again from 0;
+    asked above them, it resumes.  So the order of the questions, and
+    asking one twice, changes no answer."""
+    P = make()
+    got = [quotient_graded_invariants(P, d) for d in degrees]
+    assert got == [snf(macaulay(P, d)) for d in degrees]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog.thm_1_9_presentation(21, 5),
+        lambda: catalog.thm_1_3_presentation(8, 3),
+        lambda: catalog.cor_1_10_presentation(8, 3),
+        lambda: catalog.thm_1_2_presentation(2, 3),
+        lambda: _lemma34_ideal(3)[0],
+    ],
+    ids=["thm1.9", "thm1.3", "cor1.10", "thm1.2", "lemma34"],
+)
+def test_graded_invariants_keep_only_the_last_degrees(make, monkeypatch):
+    """Graded invariants build no piece and compute no Hermite form, and
+    the bundle keeps only the last w_max degrees of the series, w_max the
+    largest weight of a variable other than the bundle's x."""
+    from chowforge import zlinalg
+
+    def refuse(*args):
+        raise AssertionError("graded invariants built a piece or a Hermite form")
+
+    monkeypatch.setattr(grideal, "_lattice", refuse)
+    monkeypatch.setattr(zlinalg, "hnf", refuse)
+    P = make()
+    B = grideal._bundle(P)
+    w_max = max(w for v, w in enumerate(P.ring.weights) if v != B.x)
+    for d in range(12):
+        quotient_graded_invariants(P, d)
+        assert sorted(B.series) == list(range(max(0, d - w_max + 1), d + 1))
+    assert B.pieces == {}
+
+
+def test_graded_invariants_deep_in_one_variable():
+    # the series is built one degree at a time, with no recursion
+    R = ring_make([("t", 1)])
+    P = Presentation(R, [2 * V(R, "t")])
+    assert quotient_graded_invariants(P, 1500) == AbelianInvariants(0, (2,))
+    assert sorted(P._bundle.series) == [1500]
